@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .distortion import fidelity_vs_squeezing
 from .exceptions import ConfigError, CVClusterError
 from .experiment import (
     ExperimentConfig,
     TrialRecord,
+    _summarize,
+    fidelity_vs_squeezing,
     run_postselection_experiment,
     run_program,
     tomography_summary,
@@ -86,18 +87,12 @@ def _effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
     return parse_config(payload), config_hash(payload)
 
 
-def _out_dir(args: argparse.Namespace) -> Path | None:
+def _out_path(args: argparse.Namespace) -> Path | None:
     if not getattr(args, "out", None):
         return None
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _mean_stderr(values: list[float]) -> tuple[float, float]:
-    array = np.asarray(values)
-    stderr = float(array.std(ddof=1) / np.sqrt(array.size)) if array.size > 1 else 0.0
-    return float(array.mean()), stderr
 
 
 def _record_rows(records: list[TrialRecord], nodes: list[int]) -> list[list]:
@@ -148,10 +143,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if config.program is None:
         raise ConfigError("run needs a config with a program")
     records = run_program(config)
-    mean, stderr = _mean_stderr([record.fidelity for record in records])
+    summary = _summarize([record.fidelity for record in records])
     print(f"config {digest[:12]} seed {config.seed} trials {config.trials}")
-    print(f"mean fidelity {mean:.6f} +/- {stderr:.6f}")
-    out = _out_dir(args)
+    print(f"mean fidelity {summary.mean_fidelity:.6f} +/- {summary.stderr:.6f}")
+    out = _out_path(args)
     if out is not None:
         _write_records(out, "trials", digest, config.seed, records)
         _write_tomography(out, "trials", digest, config.seed, records)
@@ -178,7 +173,7 @@ def cmd_postselect(args: argparse.Namespace) -> int:
             f"+/- {summary.selected.stderr:.6f} ({summary.accepted_trials} accepted, "
             f"rate {summary.acceptance_rate:.4f})"
         )
-    out = _out_dir(args)
+    out = _out_path(args)
     if out is not None:
         header = {"window": summary.window, "omega": summary.omega}
         _write_records(
@@ -249,7 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"omega {point.omega:<8g} fidelity {point.mean_fidelity:.6f} "
             f"+/- {point.stderr:.6f}"
         )
-    out = _out_dir(args)
+    out = _out_path(args)
     if out is not None:
         write_csv(
             out / "sweep.csv",

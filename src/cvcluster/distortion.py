@@ -15,21 +15,16 @@ multiplying by an envelope is a rank-one update of ``(G, b)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exceptions import InvalidOperationError, InvalidStateError
-from .gaussian import GaussianState, apply_affine, fidelity, vacuum
+from .gaussian import GaussianState, apply_affine
 from .mbqc import (
     DEFAULT_ANCILLA_OMEGA,
     CompiledProgram,
     GateProgram,
     compile_program,
-    intended_affine,
-    prepare_cluster_state,
-    resolve_frame,
-    run_schedule,
     step_physical_affine,
 )
 from .symplectic import SymplecticAffine
@@ -276,10 +271,6 @@ def decompose_distortion(
     simulated output exactly.  ``outcomes`` is a node-to-value mapping
     or a sequence in schedule order, in recorded units.
     """
-    if not program.is_gaussian:
-        raise InvalidOperationError(
-            "distortion decomposition requires a Gaussian program"
-        )
     compiled = compile_program(program, omega, omega_overrides)
     recorded = _outcome_map(compiled, outcomes)
     n = program.n_modes
@@ -339,60 +330,3 @@ def apply_input_noise(state: GaussianState, budget: NoiseBudget) -> GaussianStat
         return GaussianState(state.mean.copy(), state.cov.copy(), validate=False)
     cov = state.cov + excess * np.eye(2 * state.n_modes)
     return GaussianState(state.mean.copy(), cov, validate=False)
-
-
-class SweepPoint(NamedTuple):
-    omega: float
-    label: str
-    mean_fidelity: float
-    stderr: float
-    trials: int
-
-
-def fidelity_vs_squeezing(
-    program: GateProgram,
-    omegas,
-    input_states: GaussianState | Callable | None = None,
-    trials: int = 1,
-    sample: bool = False,
-    rng: np.random.Generator | None = None,
-    label: str = "program",
-) -> list[SweepPoint]:
-    """Frame-resolved fidelity against the intended gate, per ancilla
-    width.
-
-    Inputs may be a fixed state, a callable drawing one per trial from
-    an rng, or None for vacuum.  With ``sample`` false all outcomes are
-    pinned to zero, giving a deterministic distortion-only figure.
-    """
-    omegas = [float(w) for w in omegas]
-    if not omegas:
-        raise InvalidOperationError("empty squeezing sweep")
-    if trials < 1:
-        raise InvalidOperationError("trials must be >= 1")
-    if sample and rng is None:
-        raise InvalidOperationError("sampled sweeps need an rng")
-    target_map = intended_affine(program)
-    points = []
-    for width in omegas:
-        compiled = compile_program(program, width)
-        zero_pins = {entry.node: 0.0 for entry in compiled.schedule.entries}
-        values = np.zeros(trials)
-        for trial in range(trials):
-            if input_states is None:
-                source = vacuum(program.n_modes)
-            elif callable(input_states):
-                source = input_states(rng)
-            else:
-                source = input_states
-            prepared = prepare_cluster_state(compiled, source)
-            if sample:
-                result = run_schedule(prepared, compiled, rng=rng)
-            else:
-                result = run_schedule(prepared, compiled, pins=zero_pins)
-            resolved = resolve_frame(result.state, result.frame)
-            target = apply_affine(source, target_map)
-            values[trial] = fidelity(resolved, target)
-        stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-        points.append(SweepPoint(width, label, float(values.mean()), stderr, trials))
-    return points

@@ -25,7 +25,7 @@ class FrameError(CVClusterError):
 
 class ScheduleError(CVClusterError):
     """A measurement schedule is invalid or an execution order is illegal
-    (non-permutation, reordering across an adaptive barrier, node reuse)."""
+    (non-permutation, register and graph mismatch, node reuse)."""
 
 
 class TruncationError(CVClusterError):

@@ -1,5 +1,10 @@
 """Batch experiment orchestration: program trials, the mini-cluster
-post-selection protocol, and tomography-style summaries.
+post-selection protocol, squeezing sweeps, and tomography-style
+summaries.
+
+Every Gaussian trial runs through one body, :func:`_run_trial`: a
+prepared register goes through ``run_schedule`` and ``resolve_frame``
+and is compared with the compiled program's intended map.
 
 All sampling flows from a master seed through per-trial substreams, so
 any trial can be replayed exactly from its index, and any recorded
@@ -9,8 +14,8 @@ outcome set can be replayed in pinned mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,15 +32,16 @@ from .gaussian import (
     wigner,
 )
 from .mbqc import (
-    ByproductFrame,
+    CompiledProgram,
     GateProgram,
+    Instruction,
+    byproduct_frame,
     compile_program,
-    intended_affine,
     prepare_cluster_state,
     resolve_frame,
     run_schedule,
 )
-from .symplectic import SymplecticAffine, controlled_phase, fourier
+from .symplectic import controlled_phase
 
 DEFAULT_WIGNER_RANGE = 5.0
 DEFAULT_WIGNER_POINTS = 101
@@ -57,7 +63,6 @@ class ExperimentConfig:
     input_mean: tuple[float, float] | None = None
     pins: dict[int, float] = field(default_factory=dict)
     accept: Callable[[dict[int, float]], bool] | None = None
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -97,6 +102,29 @@ def _input_state(config: ExperimentConfig, n_modes: int) -> GaussianState:
     return apply_input_noise(source, config.budget)
 
 
+def _run_trial(
+    compiled: CompiledProgram,
+    prepared: GaussianState,
+    source: GaussianState,
+    rng: np.random.Generator | None = None,
+    pins: dict[int, float] | None = None,
+    index: int = 0,
+) -> TrialRecord:
+    """Measure a prepared register, resolve its frame, and compare the
+    output with the intended map applied to the input ``source``."""
+    result = run_schedule(prepared, compiled, rng=rng, pins=pins)
+    resolved = resolve_frame(result.state, result.frame)
+    value = fidelity(resolved, apply_affine(source, compiled.intended))
+    return TrialRecord(
+        index=index,
+        outcomes=dict(result.outcomes),
+        accepted=True,
+        mean=resolved.mean.tolist(),
+        cov=resolved.cov.tolist(),
+        fidelity=float(value),
+    )
+
+
 def run_program(config: ExperimentConfig) -> list[TrialRecord]:
     """Compile and execute the configured program for every trial.
 
@@ -107,7 +135,6 @@ def run_program(config: ExperimentConfig) -> list[TrialRecord]:
     if config.program is None:
         raise ConfigError("run_program needs a program in the config")
     compiled = compile_program(config.program, config.omega, config.omega_overrides)
-    target_map = intended_affine(config.program)
     records = []
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
@@ -122,20 +149,8 @@ def run_program(config: ExperimentConfig) -> list[TrialRecord]:
                     rng,
                     [compiled.graph.mode_index(a), compiled.graph.mode_index(b)],
                 )
-        result = run_schedule(
-            prepared, compiled, rng=rng, pins=config.pins or None
-        )
-        resolved = resolve_frame(result.state, result.frame)
-        value = fidelity(resolved, apply_affine(source, target_map))
         records.append(
-            TrialRecord(
-                index=trial,
-                outcomes=dict(result.outcomes),
-                accepted=True,
-                mean=resolved.mean.tolist(),
-                cov=resolved.cov.tolist(),
-                fidelity=float(value),
-            )
+            _run_trial(compiled, prepared, source, rng, config.pins or None, trial)
         )
     return records
 
@@ -144,27 +159,8 @@ def replay_trial(config: ExperimentConfig, record: TrialRecord) -> TrialRecord:
     """Re-run one trial with every outcome pinned from its record."""
     if config.program is None:
         raise ConfigError("replay needs a program in the config")
-    single = ExperimentConfig(
-        program=config.program,
-        omega=config.omega,
-        omega_overrides=config.omega_overrides,
-        budget=config.budget,
-        trials=1,
-        seed=config.seed,
-        window=config.window,
-        chain_nodes=config.chain_nodes,
-        input_mean=config.input_mean,
-        pins=dict(record.outcomes),
-    )
-    replayed = run_program(single)[0]
-    return TrialRecord(
-        index=record.index,
-        outcomes=replayed.outcomes,
-        accepted=replayed.accepted,
-        mean=replayed.mean,
-        cov=replayed.cov,
-        fidelity=replayed.fidelity,
-    )
+    single = replace(config, trials=1, pins=dict(record.outcomes))
+    return replace(run_program(single)[0], index=record.index)
 
 
 @dataclass(frozen=True)
@@ -207,28 +203,21 @@ def _measure_momentum(state, mode_of, node, rng):
     return result.outcome, result.state, updated
 
 
-def _chain_frame(outcomes: dict[int, float], node_order: list[int]) -> ByproductFrame:
-    """Byproduct frame of a teleport chain, composed in wire order."""
-    physical = SymplecticAffine.identity(1)
-    intended = SymplecticAffine.identity(1)
-    for node in node_order:
-        step = SymplecticAffine(fourier().matrix, np.array([outcomes[node], 0.0]))
-        physical = step.compose(physical)
-        intended = fourier().compose(intended)
-    return ByproductFrame(physical.compose(intended.inverse()))
-
-
-def _chain_target(input_state: GaussianState, steps: int) -> GaussianState:
-    intended = SymplecticAffine.identity(1)
-    for _ in range(steps):
-        intended = fourier().compose(intended)
-    return apply_affine(input_state, intended)
-
-
 def _linked(state, mode_a, mode_b, budget, rng):
     state = apply_affine(state, controlled_phase(1.0), [mode_a, mode_b])
     if not budget.is_zero:
         state = apply_qnd_noise(state, 1, budget, rng, [mode_a, mode_b])
+    return state
+
+
+def _linked_line(first, extra, omega, budget, rng):
+    """``first`` followed by ``extra`` squeezed nodes, linked in a line
+    with each link's noise added right after that link."""
+    state = first
+    for _ in range(extra):
+        state = state.tensor(squeezed_vacuum_p(omega))
+    for mode in range(extra):
+        state = _linked(state, mode, mode + 1, budget, rng)
     return state
 
 
@@ -239,11 +228,16 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
 
     Both strategies teleport the node-1 input to the final node through
     the same number of steps; post-selection changes only which trials
-    survive.  Rejected trials are counted, not retried.
+    survive.  Rejected trials are counted, not retried.  Both share the
+    compiled chain of Fourier steps, whose node ``k`` is chain node
+    ``k + 1``; the straight-through arm runs on it as a program trial.
     """
     n = config.chain_nodes
     node_ids = list(range(1, n + 1))
     inner = node_ids[2:-1]  # pre-measured mini-cluster nodes
+    chain = compile_program(
+        GateProgram(1, (Instruction("f", (0,)),) * (n - 1)), config.omega
+    )
 
     def default_accept(outcomes: dict[int, float]) -> bool:
         return all(abs(outcomes[node]) <= config.window for node in inner)
@@ -260,38 +254,21 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
         # strategy A: full chain, measure every node before the output
         rng = trial_rng(config.seed, trial, arm=0)
         source = _input_state(config, 1)
-        state = source
-        for _ in node_ids[1:]:
-            state = state.tensor(squeezed_vacuum_p(config.omega))
-        mode_of = {node: i for i, node in enumerate(node_ids)}
-        for a, b in zip(node_ids, node_ids[1:]):
-            state = _linked(state, mode_of[a], mode_of[b], config.budget, rng)
-        outcomes: dict[int, float] = {}
-        for node in node_ids[:-1]:
-            outcomes[node], state, mode_of = _measure_momentum(
-                state, mode_of, node, rng
-            )
-        frame = _chain_frame(outcomes, node_ids[:-1])
-        resolved = resolve_frame(state, frame)
-        value = float(fidelity(resolved, _chain_target(source, n - 1)))
-        baseline_fidelities.append(value)
-        baseline_records.append(
-            TrialRecord(
-                trial, outcomes, True, resolved.mean.tolist(), resolved.cov.tolist(), value
-            )
-        )
+        state = _linked_line(source, n - 1, config.omega, config.budget, rng)
+        record = _run_trial(chain, state, source, rng, index=trial)
+        record.outcomes = {node + 1: s for node, s in record.outcomes.items()}
+        baseline_fidelities.append(record.fidelity)
+        baseline_records.append(record)
 
         # strategy B: detached mini-cluster, pre-measure, select, attach
         rng = trial_rng(config.seed, trial, arm=1)
         source = _input_state(config, 1)
         mini_nodes = node_ids[1:]
-        state = squeezed_vacuum_p(config.omega)
-        for _ in mini_nodes[1:]:
-            state = state.tensor(squeezed_vacuum_p(config.omega))
+        state = _linked_line(
+            squeezed_vacuum_p(config.omega), n - 2, config.omega, config.budget, rng
+        )
         mode_of = {node: i for i, node in enumerate(mini_nodes)}
-        for a, b in zip(mini_nodes, mini_nodes[1:]):
-            state = _linked(state, mode_of[a], mode_of[b], config.budget, rng)
-        outcomes = {}
+        outcomes: dict[int, float] = {}
         for node in inner:
             outcomes[node], state, mode_of = _measure_momentum(
                 state, mode_of, node, rng
@@ -310,9 +287,10 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
             outcomes[node], state, mode_of = _measure_momentum(
                 state, mode_of, node, rng
             )
-        frame = _chain_frame(outcomes, node_ids[:-1])
+        chain_outcomes = {node - 1: outcomes[node] for node in node_ids[:-1]}
+        frame = byproduct_frame(chain, chain_outcomes)
         resolved = resolve_frame(state, frame)
-        value = float(fidelity(resolved, _chain_target(source, n - 1)))
+        value = float(fidelity(resolved, apply_affine(source, chain.intended)))
         selected_fidelities.append(value)
         mini_records.append(
             TrialRecord(
@@ -342,6 +320,62 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
         baseline_records=baseline_records,
         mini_records=mini_records,
     )
+
+
+class SweepPoint(NamedTuple):
+    omega: float
+    label: str
+    mean_fidelity: float
+    stderr: float
+    trials: int
+
+
+def fidelity_vs_squeezing(
+    program: GateProgram,
+    omegas,
+    input_states: GaussianState | Callable | None = None,
+    trials: int = 1,
+    sample: bool = False,
+    rng: np.random.Generator | None = None,
+    label: str = "program",
+) -> list[SweepPoint]:
+    """Frame-resolved fidelity against the intended gate, per ancilla
+    width.
+
+    Inputs may be a fixed state, a callable drawing one per trial from
+    an rng, or None for vacuum.  With ``sample`` false all outcomes are
+    pinned to zero, giving a deterministic distortion-only figure.  One
+    ``rng`` is shared by every width and trial.
+    """
+    omegas = [float(w) for w in omegas]
+    if not omegas:
+        raise InvalidOperationError("empty squeezing sweep")
+    if trials < 1:
+        raise InvalidOperationError("trials must be >= 1")
+    if sample and rng is None:
+        raise InvalidOperationError("sampled sweeps need an rng")
+    points = []
+    for width in omegas:
+        compiled = compile_program(program, width)
+        entries = compiled.schedule.entries
+        pins = None if sample else {entry.node: 0.0 for entry in entries}
+        values = []
+        for _ in range(trials):
+            if input_states is None:
+                source = vacuum(program.n_modes)
+            elif callable(input_states):
+                source = input_states(rng)
+            else:
+                source = input_states
+            prepared = prepare_cluster_state(compiled, source)
+            values.append(_run_trial(compiled, prepared, source, rng, pins).fidelity)
+        summary = _summarize(values)
+        points.append(
+            SweepPoint(
+                width, label, summary.mean_fidelity, summary.stderr, summary.trials
+            )
+        )
+    return points
 
 
 @dataclass

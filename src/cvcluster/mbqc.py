@@ -45,9 +45,6 @@ from .symplectic import (
 
 DEFAULT_ANCILLA_OMEGA = 0.1
 
-GAUSSIAN_KINDS = ("x", "z", "f", "p", "cz")
-NONGAUSSIAN_KINDS = ("photon_count", "nonlinear_quadrature")
-
 # kind -> (target count, allowed parameter counts)
 _ARITY = {
     "x": (1, (1,)),
@@ -55,14 +52,12 @@ _ARITY = {
     "f": (1, (0,)),
     "p": (1, (1,)),
     "cz": (2, (0, 1)),
-    "photon_count": (1, (0,)),
-    "nonlinear_quadrature": (1, (1,)),
 }
 
 
 @dataclass(frozen=True)
 class Instruction:
-    """One program step: a Gaussian gate or a non-Gaussian measurement."""
+    """One program step: a Gaussian gate."""
 
     kind: str
     targets: tuple[int, ...]
@@ -87,10 +82,6 @@ class Instruction:
         if not all(np.isfinite(p) for p in self.params):
             raise InvalidOperationError("instruction parameters must be finite")
 
-    @property
-    def is_gaussian(self) -> bool:
-        return self.kind in GAUSSIAN_KINDS
-
 
 @dataclass(frozen=True)
 class GateProgram:
@@ -109,13 +100,9 @@ class GateProgram:
                     f"instruction target out of range for {self.n_modes} modes"
                 )
 
-    @property
-    def is_gaussian(self) -> bool:
-        return all(op.is_gaussian for op in self.ops)
-
 
 def instruction_affine(op: Instruction, n_modes: int) -> SymplecticAffine:
-    """Intended phase-space action of a Gaussian instruction, embedded."""
+    """Intended phase-space action of an instruction, embedded."""
     if op.kind == "x":
         local = shift_q(op.params[0])
     elif op.kind == "z":
@@ -124,13 +111,9 @@ def instruction_affine(op: Instruction, n_modes: int) -> SymplecticAffine:
         local = fourier()
     elif op.kind == "p":
         local = quadratic_phase(op.params[0])
-    elif op.kind == "cz":
+    else:  # cz
         g = op.params[0] if op.params else 1.0
         local = controlled_phase(g)
-    else:
-        raise InvalidOperationError(
-            f"{op.kind} is a measurement, not a Gaussian gate"
-        )
     return local.embed(n_modes, list(op.targets))
 
 
@@ -144,29 +127,21 @@ def intended_affine(program: GateProgram) -> SymplecticAffine:
 
 @dataclass(frozen=True)
 class Basis:
-    """Measurement basis descriptor attached to one physical node.
+    """Homodyne basis attached to one physical node.
 
-    For homodyne entries the physically measured quadrature is rotated
-    by ``engine_angle`` from the position axis; the recorded outcome is
+    The physically measured quadrature is rotated by ``engine_angle``
+    from the position axis; the recorded outcome is
     ``raw / rescale + offset``, aligning the record with the eigenvalue
     of the conjugated momentum observable the step implements.
     """
 
-    type: str = "homodyne"
     theta: float = 0.0
     rescale: float = 1.0
     offset: float = 0.0
-    param: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.type not in ("homodyne", *NONGAUSSIAN_KINDS):
-            raise InvalidOperationError(f"unknown basis type {self.type!r}")
-        if self.type == "homodyne" and not 0 < self.rescale <= 1.0 + 1e-12:
+        if not 0 < self.rescale <= 1.0 + 1e-12:
             raise InvalidOperationError("homodyne rescale must lie in (0, 1]")
-
-    @property
-    def is_homodyne(self) -> bool:
-        return self.type == "homodyne"
 
     @property
     def engine_angle(self) -> float:
@@ -211,12 +186,15 @@ class StepPlan:
     output_nodes: tuple[int, ...]
     bases: tuple[Basis, ...]
     omegas: tuple[float, ...]
-    barrier: int
 
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """A single physical measurement within a step."""
+    """A single physical measurement within a step.
+
+    ``barrier`` is always 0: every entry is a Gaussian homodyne, so all
+    entries share one group and may run in any order.
+    """
 
     node: int
     basis: Basis
@@ -227,12 +205,7 @@ class ScheduleEntry:
 
 
 class MeasurementSchedule:
-    """Ordered measurement plan with reordering metadata.
-
-    Entries in the same barrier group are order-free Gaussian
-    homodynes; non-Gaussian entries sit alone in their own group and
-    act as hard barriers.
-    """
+    """Ordered homodyne plan; entries may execute in any order."""
 
     def __init__(self, steps: list[StepPlan], n_wires: int):
         self.steps = tuple(steps)
@@ -247,7 +220,7 @@ class MeasurementSchedule:
                         wire=step.wires[slot] if step.kind == "cz" else step.wires[0],
                         step_index=step.index,
                         slot=slot,
-                        barrier=step.barrier,
+                        barrier=0,
                     )
                 )
         self.entries = tuple(entries)
@@ -259,27 +232,24 @@ class MeasurementSchedule:
         return tuple(range(len(self.entries)))
 
     def validate_order(self, order) -> tuple[int, ...]:
-        """Check a permutation of entry indices against barrier groups."""
+        """Check that an order is a permutation of the entry indices."""
         order = tuple(int(i) for i in order)
         if sorted(order) != list(range(len(self.entries))):
             raise ScheduleError("order must be a permutation of all entries")
-        groups = [self.entries[i].barrier for i in order]
-        if any(a > b for a, b in zip(groups, groups[1:])):
-            raise ScheduleError(
-                "permutation moves a measurement across an adaptive barrier"
-            )
         return order
 
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """Cluster graph plus measurement schedule realizing a program."""
+    """Cluster graph plus measurement schedule realizing a program, with
+    the program's intended map."""
 
     program: GateProgram
     graph: ClusterGraph
     head_nodes: tuple[int, ...]
-    tail_nodes: tuple[int | None, ...]
+    tail_nodes: tuple[int, ...]
     schedule: MeasurementSchedule
+    intended: SymplecticAffine
 
 
 def compile_program(
@@ -294,7 +264,8 @@ def compile_program(
     a cross-wire interaction) and extends the wire by fresh squeezed
     nodes whose width is ``omega`` unless overridden per instruction
     index via ``omega_overrides``.  Position displacements produce no
-    measurement; they are folded into frame bookkeeping.
+    measurement; they are folded into frame bookkeeping.  The program's
+    intended map is computed once here and read by every trial.
     """
     overrides = omega_overrides or {}
     nodes: list[tuple[int, float]] = []
@@ -302,10 +273,9 @@ def compile_program(
     heads = tuple(range(program.n_modes))
     for head in heads:
         nodes.append((head, 1.0))
-    tails: list[int | None] = list(heads)
+    tails = list(heads)
     next_id = program.n_modes
     steps: list[StepPlan] = []
-    barrier = 0
 
     def fresh(width: float) -> int:
         nonlocal next_id
@@ -313,24 +283,16 @@ def compile_program(
         next_id += 1
         return next_id - 1
 
-    def tail_of(wire: int) -> int:
-        tail = tails[wire]
-        if tail is None:
-            raise ScheduleError(
-                f"logical mode {wire} was consumed by a destructive measurement"
-            )
-        return tail
-
     for index, op in enumerate(program.ops):
         width = float(overrides.get(index, omega))
         if op.kind == "x":
             steps.append(
-                StepPlan(index, "classical", op, op.targets, (), (), (), (), barrier)
+                StepPlan(index, "classical", op, op.targets, (), (), (), ())
             )
             continue
         if op.kind == "cz":
             wire_a, wire_b = op.targets
-            old_a, old_b = tail_of(wire_a), tail_of(wire_b)
+            old_a, old_b = tails[wire_a], tails[wire_b]
             new_a, new_b = fresh(width), fresh(width)
             g = op.params[0] if op.params else 1.0
             edges.extend([(old_a, new_a, 1.0), (old_b, new_b, 1.0), (old_a, old_b, g)])
@@ -344,51 +306,12 @@ def compile_program(
                     (new_a, new_b),
                     (Basis(), Basis()),
                     (width, width),
-                    barrier,
                 )
             )
             tails[wire_a], tails[wire_b] = new_a, new_b
             continue
         wire = op.targets[0]
-        old = tail_of(wire)
-        if op.kind == "photon_count":
-            barrier += 1
-            steps.append(
-                StepPlan(
-                    index,
-                    "photon_count",
-                    op,
-                    (wire,),
-                    (old,),
-                    (),
-                    (Basis(type="photon_count"),),
-                    (),
-                    barrier,
-                )
-            )
-            barrier += 1
-            tails[wire] = None
-            continue
-        if op.kind == "nonlinear_quadrature":
-            new = fresh(width)
-            edges.append((old, new, 1.0))
-            barrier += 1
-            steps.append(
-                StepPlan(
-                    index,
-                    "nonlinear_quadrature",
-                    op,
-                    (wire,),
-                    (old,),
-                    (new,),
-                    (Basis(type="nonlinear_quadrature", param=op.params[0]),),
-                    (width,),
-                    barrier,
-                )
-            )
-            barrier += 1
-            tails[wire] = new
-            continue
+        old = tails[wire]
         # single-mode Gaussian gate lowered to one teleport step
         new = fresh(width)
         edges.append((old, new, 1.0))
@@ -403,14 +326,15 @@ def compile_program(
                 (new,),
                 (basis_for_diagonal("identity" if op.kind == "f" else op.kind, param),),
                 (width,),
-                barrier,
             )
         )
         tails[wire] = new
 
     graph = ClusterGraph(nodes=nodes, edges=edges)
     schedule = MeasurementSchedule(steps, program.n_modes)
-    return CompiledProgram(program, graph, heads, tuple(tails), schedule)
+    return CompiledProgram(
+        program, graph, heads, tuple(tails), schedule, intended_affine(program)
+    )
 
 
 def prepare_cluster_state(
@@ -583,48 +507,37 @@ class RunResult:
     order: tuple[int, ...]
 
 
-def _local_gate(op: Instruction) -> SymplecticAffine:
-    """Unembedded single-mode intended gate."""
-    if op.kind == "x":
-        return shift_q(op.params[0])
-    if op.kind == "z":
-        return shift_p(op.params[0])
-    if op.kind == "f":
-        return fourier()
-    if op.kind == "p":
-        return quadratic_phase(op.params[0])
-    raise InvalidOperationError(f"{op.kind} is not a single-mode gate")
-
-
 def step_physical_affine(
     step: StepPlan, outcomes: dict[int, float], n_wires: int
 ) -> SymplecticAffine:
     """Phase-space map this step applied to the logical register."""
     if step.kind == "classical":
         return SymplecticAffine.identity(n_wires)
-    if step.kind == "teleport":
-        op = step.instruction
-        recorded = outcomes[step.measured_nodes[0]]
-        local = SymplecticAffine(fourier().matrix, np.array([recorded, 0.0]))
-        if op.kind in ("z", "p"):
-            local = local.compose(_local_gate(op))
-        return local.embed(n_wires, [step.wires[0]])
-    if step.kind == "cz":
-        op = step.instruction
-        s1 = outcomes[step.measured_nodes[0]]
-        s2 = outcomes[step.measured_nodes[1]]
-        total = instruction_affine(op, n_wires)
-        for wire, s in zip(step.wires, (s1, s2)):
-            local = SymplecticAffine(fourier().matrix, np.array([s, 0.0]))
-            total = local.embed(n_wires, [wire]).compose(total)
-        return total
-    raise ScheduleError(f"{step.kind} has no Gaussian phase-space action")
+    byproducts = [
+        SymplecticAffine(fourier().matrix, np.array([outcomes[node], 0.0])).embed(
+            n_wires, [wire]
+        )
+        for wire, node in zip(step.wires, step.measured_nodes)
+    ]
+    if step.instruction.kind == "f":
+        # the quarter rotation is the teleport byproduct itself
+        return byproducts[0]
+    total = instruction_affine(step.instruction, n_wires)
+    for byproduct in byproducts:
+        total = byproduct.compose(total)
+    return total
 
 
-def step_intended_affine(step: StepPlan, n_wires: int) -> SymplecticAffine:
-    if step.kind in ("classical", "teleport", "cz"):
-        return instruction_affine(step.instruction, n_wires)
-    raise ScheduleError(f"{step.kind} has no Gaussian intended action")
+def byproduct_frame(
+    compiled: CompiledProgram, outcomes: dict[int, float]
+) -> ByproductFrame:
+    """Frame of a run, assembled in wire order from its recorded outcomes,
+    so it does not depend on the order the measurements ran in."""
+    n_wires = compiled.program.n_modes
+    physical = SymplecticAffine.identity(n_wires)
+    for step in compiled.schedule.steps:
+        physical = step_physical_affine(step, outcomes, n_wires).compose(physical)
+    return ByproductFrame(physical.compose(compiled.intended.inverse()))
 
 
 def run_schedule(
@@ -636,9 +549,8 @@ def run_schedule(
 ) -> RunResult:
     """Execute every scheduled measurement on a prepared register.
 
-    ``order`` permutes measurement execution and must respect adaptive
-    barriers; the byproduct frame is assembled in wire order from the
-    recorded outcomes, so it does not depend on execution order.
+    ``order`` permutes measurement execution; the byproduct frame comes
+    from :func:`byproduct_frame`, so it does not depend on the order.
     ``pins`` maps node ids to recorded outcomes; unpinned nodes sample
     from ``rng``.
     """
@@ -657,10 +569,6 @@ def run_schedule(
     working = state
     for entry_index in order:
         entry = schedule.entries[entry_index]
-        if not entry.basis.is_homodyne:
-            raise ScheduleError(
-                "adaptive non-Gaussian measurements need the number-basis backend"
-            )
         pinned = pins.get(entry.node)
         raw = None if pinned is None else entry.basis.raw(pinned)
         result = homodyne(
@@ -674,15 +582,6 @@ def run_schedule(
         mode_of = {node: result.relabel[idx] for node, idx in mode_of.items()}
     if len(mode_of) != n_wires:
         raise ScheduleError("schedule left a dangling unmeasured node")
-    if any(tail is None for tail in compiled.tail_nodes):
-        raise ScheduleError("a destructively measured wire has no output node")
     wire_order = [mode_of[tail] for tail in compiled.tail_nodes]
     working = working.permute_modes(wire_order)
-
-    physical = SymplecticAffine.identity(n_wires)
-    intended = SymplecticAffine.identity(n_wires)
-    for step in schedule.steps:
-        physical = step_physical_affine(step, outcomes, n_wires).compose(physical)
-        intended = step_intended_affine(step, n_wires).compose(intended)
-    frame = ByproductFrame(physical.compose(intended.inverse()))
-    return RunResult(outcomes, working, frame, order)
+    return RunResult(outcomes, working, byproduct_frame(compiled, outcomes), order)

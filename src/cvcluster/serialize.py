@@ -163,7 +163,7 @@ def dump_schedule(compiled: CompiledProgram) -> dict:
                 "step": entry.step_index,
                 "barrier": entry.barrier,
                 "basis": {
-                    "type": entry.basis.type,
+                    "type": "homodyne",
                     "theta": entry.basis.theta,
                     "rescale": entry.basis.rescale,
                     "offset": entry.basis.offset,

@@ -8,16 +8,15 @@ from cvcluster.distortion import (
     DistortionEnvelope,
     LinearFormEnvelope,
     NoiseBudget,
-    SweepPoint,
     apply_envelope,
     apply_input_noise,
     apply_position_envelope,
     apply_qnd_noise,
     decompose_distortion,
-    fidelity_vs_squeezing,
     state_from_wavefunction,
     wavefunction_parameters,
 )
+from cvcluster.experiment import SweepPoint, fidelity_vs_squeezing
 from cvcluster.exceptions import InvalidOperationError, InvalidStateError
 from cvcluster.gaussian import GaussianState, apply_affine, coherent, vacuum
 from cvcluster.mbqc import (
@@ -208,9 +207,6 @@ def test_decomposition_outcome_plumbing():
         decompose_distortion(program, [0.3], omega=0.3)
     with pytest.raises(InvalidOperationError):
         decompose_distortion(program, {0: 0.3}, omega=0.3)
-    nongaussian = GateProgram(1, (Instruction("photon_count", (0,)),))
-    with pytest.raises(InvalidOperationError):
-        decompose_distortion(nongaussian, [0.0])
 
 
 def test_noise_budget_validation_and_overrides():

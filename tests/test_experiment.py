@@ -6,18 +6,26 @@ import math
 import numpy as np
 import pytest
 
-from cvcluster.distortion import NoiseBudget, fidelity_vs_squeezing
+from cvcluster.distortion import NoiseBudget, apply_input_noise, apply_qnd_noise
 from cvcluster.exceptions import ConfigError, InvalidOperationError
 from cvcluster.experiment import (
     ExperimentConfig,
+    _run_trial,
+    fidelity_vs_squeezing,
     run_postselection_experiment,
     run_program,
     replay_trial,
     tomography_summary,
     trial_rng,
 )
-from cvcluster.gaussian import coherent, vacuum
-from cvcluster.mbqc import GateProgram, Instruction
+from cvcluster.gaussian import apply_affine, coherent, squeezed_vacuum_p, vacuum
+from cvcluster.mbqc import (
+    GateProgram,
+    Instruction,
+    compile_program,
+    prepare_cluster_state,
+)
+from cvcluster.symplectic import controlled_phase
 
 from conftest import fourier_wire
 
@@ -165,6 +173,34 @@ def test_accept_all_strategies_agree_in_distribution():
     gap = abs(summary.selected.mean_fidelity - summary.baseline.mean_fidelity)
     spread = math.hypot(summary.selected.stderr, summary.baseline.stderr)
     assert gap < 5.0 * spread
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [NoiseBudget(), NoiseBudget(per_link_variance=0.01, input_excess_variance=0.02)],
+)
+def test_baseline_arm_is_a_compiled_fourier_chain_trial(budget):
+    omega = 0.3
+    chain = compile_program(fourier_wire(4), omega)
+    for seed in (0, 5, 21):
+        config = ExperimentConfig(omega=omega, trials=3, seed=seed, budget=budget)
+        baseline = run_postselection_experiment(config).baseline_records
+        for trial, record in enumerate(baseline):
+            rng = trial_rng(seed, trial, 0)
+            source = apply_input_noise(vacuum(1), budget)
+            if budget.is_zero:
+                register = prepare_cluster_state(chain, source)
+            else:
+                # each link's noise lands right after that link
+                register = source
+                for _ in range(4):
+                    register = register.tensor(squeezed_vacuum_p(omega))
+                for a, b, weight in chain.graph.edges:
+                    register = apply_affine(register, controlled_phase(weight), [a, b])
+                    register = apply_qnd_noise(register, 1, budget, rng, [a, b])
+            expected = _run_trial(chain, register, source, rng, index=trial)
+            expected.outcomes = {node + 1: s for node, s in expected.outcomes.items()}
+            assert record == expected
 
 
 def test_shorter_wires_carry_less_distortion():

@@ -259,24 +259,46 @@ def test_cli_rejects_bad_inputs(tmp_path, program_config, capsys):
 
 
 def test_cli_runtime_failures_exit_three(tmp_path, capsys):
+    # an ancilla width below OMEGA_FLOOR parses but fails at preparation
     path = tmp_path / "config.json"
     path.write_text(
         json.dumps(
             {
                 "schema": 1,
+                "omega_overrides": {"0": 1e-9},
                 "program": {
                     "schema": 1,
                     "modes": 1,
-                    "ops": [
-                        {"kind": "photon_count", "targets": [0]},
-                        {"kind": "f", "targets": [0]},
-                    ],
+                    "ops": [{"kind": "f", "targets": [0]}],
                 },
             }
         )
     )
     assert main(["run", "--config", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        {"kind": "photon_count", "targets": [0]},
+        {"kind": "nonlinear_quadrature", "params": [0.2], "targets": [0]},
+    ],
+)
+def test_cli_non_gaussian_kinds_are_config_errors(tmp_path, capsys, op):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "program": {"schema": 1, "modes": 1, "ops": [op]},
+            }
+        )
+    )
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "unknown instruction kind" in err
 
 
 def test_cli_postselect_writes_summary(tmp_path, capsys):
