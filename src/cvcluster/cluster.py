@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidOperationError
-from .gaussian import GaussianState, apply_affine, squeezed_vacuum_p
+from .gaussian import GaussianState, _apply_local, squeezed_vacuum_p
 from .symplectic import controlled_phase
 
 __all__ = [
@@ -46,8 +46,8 @@ class ClusterGraph:
         for _, omega in self.nodes:
             if not np.isfinite(omega) or omega <= 0:
                 raise InvalidOperationError("node squeezing width must be positive")
+        self._modes = {node_id: k for k, node_id in enumerate(ids)}
         normalized = []
-        known = set(ids)
         for edge in self.edges:
             if len(edge) == 2:
                 a, b = edge  # type: ignore[misc]
@@ -57,7 +57,7 @@ class ClusterGraph:
             a, b, weight = int(a), int(b), float(weight)
             if a == b:
                 raise InvalidOperationError("self-loop edges are not allowed")
-            if a not in known or b not in known:
+            if a not in self._modes or b not in self._modes:
                 raise InvalidOperationError(f"edge ({a}, {b}) references unknown node")
             if not np.isfinite(weight) or weight == 0.0:
                 raise InvalidOperationError("edge weight must be finite and nonzero")
@@ -69,16 +69,13 @@ class ClusterGraph:
         return [i for i, _ in self.nodes]
 
     def omega(self, node_id: int) -> float:
-        for i, w in self.nodes:
-            if i == node_id:
-                return w
-        raise InvalidOperationError(f"unknown node id {node_id}")
+        return self.nodes[self.mode_index(node_id)][1]
 
     def mode_index(self, node_id: int) -> int:
-        for k, (i, _) in enumerate(self.nodes):
-            if i == node_id:
-                return k
-        raise InvalidOperationError(f"unknown node id {node_id}")
+        try:
+            return self._modes[node_id]
+        except KeyError:
+            raise InvalidOperationError(f"unknown node id {node_id}") from None
 
 
 @dataclass
@@ -106,19 +103,42 @@ def build_cluster(graph: ClusterGraph) -> GaussianState:
 
     Mode k of the returned state is the k-th entry of ``graph.nodes``.
     """
-    state = None
-    for _, omega in graph.nodes:
-        node_state = squeezed_vacuum_p(omega)
-        state = node_state if state is None else state.tensor(node_state)
-    if state is None:
+    return _linked_register(graph)
+
+
+def _linked_register(
+    graph: ClusterGraph,
+    source: GaussianState | None = None,
+    source_nodes: tuple[int, ...] = (),
+) -> GaussianState:
+    """The linked register of ``graph``, built in one allocation.
+
+    Mode k is the k-th entry of ``graph.nodes``.  Mode i of ``source``
+    sits on node ``source_nodes[i]`` (one node per source mode); every
+    other node holds a momentum-squeezed vacuum of its width.  Each
+    edge's controlled-phase link then updates its two modes' rows and
+    columns in place, so the build costs O(n^2) for the allocation plus
+    O(n) per edge.
+    """
+    n = len(graph.nodes)
+    if n == 0:
         raise InvalidOperationError("cluster graph has no nodes")
+    mean = np.zeros(2 * n)
+    cov = np.zeros((2 * n, 2 * n))
+    placed = [] if source is None else [graph.mode_index(i) for i in source_nodes]
+    for k, (_, omega) in enumerate(graph.nodes):
+        if k not in placed:
+            cov[k, k], cov[n + k, n + k] = np.diag(squeezed_vacuum_p(omega).cov)
+    if placed:
+        index = placed + [n + k for k in placed]
+        mean[index] = source.mean
+        cov[np.ix_(index, index)] = source.cov
+    links = {weight: controlled_phase(weight) for _, _, weight in graph.edges}
+    modes = graph._modes
     for a, b, weight in graph.edges:
-        state = apply_affine(
-            state,
-            controlled_phase(weight),
-            modes=(graph.mode_index(a), graph.mode_index(b)),
-        )
-    return state
+        ia, ib = modes[a], modes[b]
+        _apply_local(mean, cov, links[weight], [ia, ib, n + ia, n + ib])
+    return GaussianState(mean, cov, validate=False)
 
 
 def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> NullifierReport:
@@ -155,6 +175,7 @@ def attach(
     weight)``; the combined state keeps ``a``'s modes first.
     """
     state = a.tensor(b)
+    n = state.n_modes
     for edge in edges:
         if len(edge) == 2:
             ma, mb = edge  # type: ignore[misc]
@@ -163,7 +184,8 @@ def attach(
             ma, mb, weight = edge
         if ma < 0 or ma >= a.n_modes or mb < 0 or mb >= b.n_modes:
             raise InvalidOperationError("attach edge mode out of range")
-        state = apply_affine(
-            state, controlled_phase(float(weight)), modes=(ma, a.n_modes + mb)
+        mb += a.n_modes
+        _apply_local(
+            state.mean, state.cov, controlled_phase(float(weight)), [ma, mb, n + ma, n + mb]
         )
     return state

@@ -303,7 +303,8 @@ def apply_qnd_noise(
     The covariance of the affected modes grows by links times the
     per-link budget on each quadrature; with an rng the mean picks up
     a corresponding random kick, without one (pinned mode) the mean is
-    untouched.
+    untouched.  A mode listed several times in ``modes`` takes the noise
+    once per listing, in list order.
     """
     if links < 0:
         raise InvalidOperationError("link count must be nonnegative")

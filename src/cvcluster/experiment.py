@@ -135,20 +135,17 @@ def run_program(config: ExperimentConfig) -> list[TrialRecord]:
     if config.program is None:
         raise ConfigError("run_program needs a program in the config")
     compiled = compile_program(config.program, config.omega, config.omega_overrides)
+    graph = compiled.graph
+    # both ends of every link in edge order, so one noise call draws in the
+    # same order as one call per link would
+    link_modes = [graph.mode_index(node) for edge in graph.edges for node in edge[:2]]
     records = []
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
         source = _input_state(config, config.program.n_modes)
         prepared = prepare_cluster_state(compiled, source)
         if not config.budget.is_zero:
-            for a, b, _ in compiled.graph.edges:
-                prepared = apply_qnd_noise(
-                    prepared,
-                    1,
-                    config.budget,
-                    rng,
-                    [compiled.graph.mode_index(a), compiled.graph.mode_index(b)],
-                )
+            prepared = apply_qnd_noise(prepared, 1, config.budget, rng, link_modes)
         records.append(
             _run_trial(compiled, prepared, source, rng, config.pins or None, trial)
         )

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import InvalidOperationError, InvalidStateError, MeasurementError
-from .symplectic import SymplecticAffine, rotation, symplectic_form
+from .symplectic import SymplecticAffine, _embed_index, rotation, symplectic_form
 
 VACUUM_VARIANCE = 0.5
 OMEGA_FLOOR = 1e-6
@@ -111,7 +112,9 @@ def vacuum(n_modes: int = 1) -> GaussianState:
     """Vacuum on n modes: zero mean, covariance diag(1/2)."""
     if n_modes < 0:
         raise InvalidOperationError("mode count must be nonnegative")
-    return GaussianState(np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes))
+    return GaussianState(
+        np.zeros(2 * n_modes), VACUUM_VARIANCE * np.eye(2 * n_modes), validate=False
+    )
 
 
 def squeezed_vacuum_p(omega: float) -> GaussianState:
@@ -126,13 +129,27 @@ def squeezed_vacuum_p(omega: float) -> GaussianState:
             f"squeezing width must be finite and >= {OMEGA_FLOOR}"
         )
     return GaussianState(
-        np.zeros(2), np.diag([1.0 / (2.0 * omega**2), omega**2 / 2.0])
+        np.zeros(2), np.diag([1.0 / (2.0 * omega**2), omega**2 / 2.0]), validate=False
     )
 
 
 def coherent(mean_q: float, mean_p: float) -> GaussianState:
     """Displaced vacuum on one mode."""
-    return GaussianState([mean_q, mean_p], VACUUM_VARIANCE * np.eye(2))
+    return GaussianState([mean_q, mean_p], VACUUM_VARIANCE * np.eye(2), validate=False)
+
+
+def _apply_local(
+    mean: np.ndarray, cov: np.ndarray, op: SymplecticAffine, index: list[int]
+) -> None:
+    """Apply a local map in place to the quadratures in ``index``.
+
+    ``index`` is where the map sits in the register (see
+    :func:`~cvcluster.symplectic._embed_index`); every other row and
+    column is left untouched, so a k-mode map costs O(k n) on n modes.
+    """
+    mean[index] = op.matrix @ mean[index] + op.shift
+    cov[index, :] = op.matrix @ cov[index, :]
+    cov[:, index] = cov[:, index] @ op.matrix.T
 
 
 def apply_affine(
@@ -142,20 +159,25 @@ def apply_affine(
 ) -> GaussianState:
     """Apply a symplectic-affine map; mean -> S mean + d, cov -> S cov S^T.
 
-    When ``modes`` is given the map is embedded there, acting as the
-    identity elsewhere.
+    When ``modes`` is given the map acts there and as the identity
+    elsewhere: only those modes' rows and columns are updated, so a
+    one- or two-mode map costs O(n) on an n-mode state (plus one copy of
+    the state).  Without ``modes`` the map covers the whole register
+    and costs O(n^3).
     """
-    if modes is not None:
-        op = op.embed(state.n_modes, modes)
-    elif op.n_modes != state.n_modes:
-        raise InvalidOperationError(
-            f"map acts on {op.n_modes} modes, state has {state.n_modes}"
+    n = state.n_modes
+    if modes is None:
+        if op.n_modes != n:
+            raise InvalidOperationError(f"map acts on {op.n_modes} modes, state has {n}")
+        return GaussianState(
+            op.matrix @ state.mean + op.shift,
+            op.matrix @ state.cov @ op.matrix.T,
+            validate=False,
         )
-    return GaussianState(
-        op.matrix @ state.mean + op.shift,
-        op.matrix @ state.cov @ op.matrix.T,
-        validate=False,
-    )
+    index = _embed_index(n, op.n_modes, modes)
+    out = GaussianState(state.mean, state.cov, validate=False)
+    _apply_local(out.mean, out.cov, op, index)
+    return out
 
 
 class HomodyneResult(NamedTuple):
@@ -190,6 +212,10 @@ def homodyne(
     rng: np.random.Generator | None = None,
 ) -> HomodyneResult:
     """Measure the quadrature q cos(theta) + p sin(theta) on one mode.
+
+    Costs O(n^2) on an n-mode state: the basis rotation touches only
+    the measured mode's rows and columns, and conditioning updates the
+    remaining covariance once.
 
     The measured mode is removed from the returned state; surviving
     modes keep their relative order and the relabeling map old -> new
@@ -249,12 +275,28 @@ def _overlap(a: GaussianState, b: GaussianState) -> float:
     return float(np.exp(expo) / np.sqrt(det))
 
 
+def _mixed_fidelity(a: GaussianState, b: GaussianState) -> float:
+    """General Gaussian fidelity of Banchi, Braunstein & Pirandola
+    (PRL 115, 260501, 2015), written for vacuum variance 1/2."""
+    form = symplectic_form(a.n_modes)
+    eye = np.eye(form.shape[0])
+    total = a.cov + b.cov
+    delta = a.mean - b.mean
+    aux = form.T @ np.linalg.solve(total, form / 4.0 + b.cov @ form @ a.cov)
+    inv = np.linalg.inv(aux @ form)
+    root = scipy.linalg.sqrtm(eye + inv @ inv / 4.0)
+    f_tot4 = np.linalg.det(2.0 * (root + eye) @ aux).real
+    expo = -0.5 * float(delta @ np.linalg.solve(total, delta))
+    return float(np.sqrt(f_tot4 / np.linalg.det(total)) * np.exp(expo))
+
+
 def fidelity(a: GaussianState, b: GaussianState) -> float:
     """Fidelity between Gaussian states, |<psi|phi>|^2 on pure inputs.
 
     One mode uses the exact closed form valid for arbitrary (also
-    mixed) Gaussian pairs.  For several modes at least one argument
-    must be pure, where fidelity reduces to the state overlap.
+    mixed) Gaussian pairs.  For several modes the fidelity is the state
+    overlap when either argument is pure, and the general mixed-state
+    formula (:func:`_mixed_fidelity`) otherwise.
     """
     if a.n_modes != b.n_modes:
         raise InvalidOperationError("fidelity needs states on equal mode counts")
@@ -271,11 +313,10 @@ def fidelity(a: GaussianState, b: GaussianState) -> float:
         expo = np.exp(-0.5 * float(delta @ np.linalg.solve(total, delta)))
         value = expo / (np.sqrt(big + lam) - np.sqrt(lam))
     else:
-        if not (a.is_pure(1e-6) or b.is_pure(1e-6)):
-            raise InvalidStateError(
-                "multi-mode fidelity requires at least one pure argument"
-            )
-        value = _overlap(a, b)
+        if a.is_pure(1e-6) or b.is_pure(1e-6):
+            value = _overlap(a, b)
+        else:
+            value = _mixed_fidelity(a, b)
     return float(min(max(value, 0.0), 1.0))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterGraph
+from .cluster import ClusterGraph, _linked_register
 from .exceptions import (
     FrameError,
     InvalidOperationError,
@@ -349,19 +349,7 @@ def prepare_cluster_state(
         raise InvalidOperationError(
             f"input has {input_state.n_modes} modes, program has {n_wires}"
         )
-    state = input_state
-    head_set = set(compiled.head_nodes)
-    for node_id, width in compiled.graph.nodes:
-        if node_id in head_set:
-            continue
-        state = state.tensor(squeezed_vacuum_p(width))
-    for a, b, weight in compiled.graph.edges:
-        state = apply_affine(
-            state,
-            controlled_phase(weight),
-            [compiled.graph.mode_index(a), compiled.graph.mode_index(b)],
-        )
-    return state
+    return _linked_register(compiled.graph, input_state, compiled.head_nodes)
 
 
 @dataclass

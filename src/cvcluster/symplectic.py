@@ -17,9 +17,26 @@ SYMPLECTIC_TOL = 1e-10
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Commutation matrix Sigma with [x_i, x_j] = i * Sigma_ij."""
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    form = np.zeros((2 * n_modes, 2 * n_modes))
+    modes = np.arange(n_modes)
+    form[modes, n_modes + modes] = 1.0
+    form[n_modes + modes, modes] = -1.0
+    return form
+
+
+def _embed_index(n_modes: int, k: int, modes: tuple[int, ...] | list[int]) -> list[int]:
+    """Where a k-mode map on ``modes`` sits in an n-mode register.
+
+    Local index i maps to q of ``modes[i]``, local k + i to p of
+    ``modes[i]``.
+    """
+    if len(modes) != k:
+        raise InvalidOperationError("embed needs one target mode per local mode")
+    if len(set(modes)) != k:
+        raise InvalidOperationError("embed target modes must be distinct")
+    if any(m < 0 or m >= n_modes for m in modes):
+        raise InvalidOperationError("embed target mode out of range")
+    return [*modes] + [n_modes + m for m in modes]
 
 
 @dataclass
@@ -27,8 +44,11 @@ class SymplecticAffine:
     """An affine phase-space map x -> S x + d with S symplectic.
 
     The matrix acts on means directly; covariances transform as
-    S V S^T.  Validation rejects matrices that fail S^T Sigma S = Sigma
-    beyond ``SYMPLECTIC_TOL``.
+    S V S^T.  Direct construction and the gate constructors below check
+    their input and reject matrices that fail S^T Sigma S = Sigma beyond
+    ``SYMPLECTIC_TOL``.  ``identity``, ``compose``, ``inverse``, ``embed``
+    and ``single_mode_parts`` derive their result from maps that were
+    already checked, so they build it without checking again.
     """
 
     matrix: np.ndarray
@@ -56,44 +76,43 @@ class SymplecticAffine:
                 f"(defect {np.max(np.abs(defect)):.3e})"
             )
 
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, shift: np.ndarray) -> "SymplecticAffine":
+        """A map that is symplectic by construction, built unchecked."""
+        op = object.__new__(cls)
+        op.matrix = matrix
+        op.shift = shift
+        return op
+
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
 
     @classmethod
     def identity(cls, n_modes: int) -> "SymplecticAffine":
-        return cls(np.eye(2 * n_modes))
+        return cls._derived(np.eye(2 * n_modes), np.zeros(2 * n_modes))
 
     def compose(self, other: "SymplecticAffine") -> "SymplecticAffine":
         """The map 'self after other': x -> S1 (S2 x + d2) + d1."""
         if self.n_modes != other.n_modes:
             raise InvalidOperationError("mode count mismatch in composition")
-        return SymplecticAffine(
+        return SymplecticAffine._derived(
             self.matrix @ other.matrix,
             self.matrix @ other.shift + self.shift,
         )
 
     def inverse(self) -> "SymplecticAffine":
         inv = np.linalg.inv(self.matrix)
-        return SymplecticAffine(inv, -inv @ self.shift)
+        return SymplecticAffine._derived(inv, -inv @ self.shift)
 
     def embed(self, n_modes: int, modes: tuple[int, ...] | list[int]) -> "SymplecticAffine":
         """Embed this k-mode map into an n-mode identity on the given modes."""
-        modes = tuple(modes)
-        k = self.n_modes
-        if len(modes) != k:
-            raise InvalidOperationError("embed needs one target mode per local mode")
-        if len(set(modes)) != k:
-            raise InvalidOperationError("embed target modes must be distinct")
-        if any(m < 0 or m >= n_modes for m in modes):
-            raise InvalidOperationError("embed target mode out of range")
-        # local index i maps to q_modes[i], local k + i maps to p_modes[i]
-        index = [m for m in modes] + [n_modes + m for m in modes]
+        index = _embed_index(n_modes, self.n_modes, modes)
         matrix = np.eye(2 * n_modes)
         shift = np.zeros(2 * n_modes)
         matrix[np.ix_(index, index)] = self.matrix
         shift[index] = self.shift
-        return SymplecticAffine(matrix, shift)
+        return SymplecticAffine._derived(matrix, shift)
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         return (
@@ -113,7 +132,9 @@ class SymplecticAffine:
             raise InvalidOperationError("map couples modes; no per-mode split exists")
         for m in range(n):
             idx = [m, n + m]
-            parts.append(SymplecticAffine(self.matrix[np.ix_(idx, idx)], self.shift[idx]))
+            parts.append(
+                SymplecticAffine._derived(self.matrix[np.ix_(idx, idx)], self.shift[idx])
+            )
         return parts
 
 

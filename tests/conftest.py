@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 from cvcluster.cluster import ClusterGraph
 from cvcluster.gaussian import GaussianState
 from cvcluster.mbqc import GateProgram, Instruction
+from cvcluster.symplectic import SymplecticAffine, symplectic_form
 
 
 def assert_state_allclose(a: GaussianState, b: GaussianState, atol: float = 1e-10):
@@ -48,3 +52,36 @@ def random_gaussian_program(
 def fourier_wire(steps: int) -> GateProgram:
     """Single-wire program of bare teleport steps."""
     return GateProgram(1, tuple(Instruction("f", (0,)) for _ in range(steps)))
+
+
+def _entries(shape):
+    return arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+
+
+def symplectic_maps(n_modes: int):
+    """Strategy: exp(Sigma H) for a random symmetric H, with a random shift.
+
+    H has entries in [-1/2, 1/2], so no map stretches by more than e^2
+    and rounding stays far inside ``SYMPLECTIC_TOL`` even after a few
+    compositions.
+    """
+    dim = 2 * n_modes
+
+    def build(parts):
+        generator, shift = parts
+        hamiltonian = 0.25 * (generator + generator.T)
+        return SymplecticAffine(expm(symplectic_form(n_modes) @ hamiltonian), 2.0 * shift)
+
+    return st.tuples(_entries((dim, dim)), _entries(dim)).map(build)
+
+
+def mixed_states(n_modes: int):
+    """Strategy: covariance I/2 + A A^T, which always obeys the
+    uncertainty bound, with a random mean."""
+    dim = 2 * n_modes
+
+    def build(parts):
+        factor, mean = parts
+        return GaussianState(3.0 * mean, 0.5 * np.eye(dim) + factor @ factor.T)
+
+    return st.tuples(_entries((dim, dim)), _entries(dim)).map(build)

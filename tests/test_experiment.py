@@ -203,6 +203,28 @@ def test_baseline_arm_is_a_compiled_fourier_chain_trial(budget):
             assert record == expected
 
 
+def test_run_program_adds_each_links_noise_in_edge_order():
+    program = GateProgram(
+        2,
+        (
+            Instruction("cz", (0, 1)),
+            Instruction("p", (0,), (0.5,)),
+            Instruction("f", (1,)),
+        ),
+    )
+    budget = NoiseBudget(per_link_variance=0.01)
+    config = ExperimentConfig(program=program, omega=0.3, trials=3, seed=9, budget=budget)
+    compiled = compile_program(program, 0.3)
+    graph = compiled.graph
+    for trial, record in enumerate(run_program(config)):
+        rng = trial_rng(9, trial)
+        register = prepare_cluster_state(compiled, vacuum(2))
+        for a, b, _ in graph.edges:
+            modes = [graph.mode_index(a), graph.mode_index(b)]
+            register = apply_qnd_noise(register, 1, budget, rng, modes)
+        assert record == _run_trial(compiled, register, vacuum(2), rng, index=trial)
+
+
 def test_shorter_wires_carry_less_distortion():
     two, four = fidelity_vs_squeezing(fourier_wire(2), [0.3]), fidelity_vs_squeezing(
         fourier_wire(4), [0.3]

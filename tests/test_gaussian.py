@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_state_allclose
-from cvcluster.exceptions import InvalidStateError, MeasurementError
+from conftest import assert_state_allclose, mixed_states, symplectic_maps
+from cvcluster.exceptions import InvalidOperationError, InvalidStateError, MeasurementError
 from cvcluster.gaussian import (
     GaussianState,
+    _mixed_fidelity,
     apply_affine,
     coherent,
     fidelity,
@@ -84,6 +87,37 @@ def test_apply_affine_on_selected_modes_matches_embedding():
     rotated = apply_affine(state, rotation(0.4), [1])
     embedded = apply_affine(state, rotation(0.4).embed(3, [1]))
     assert_state_allclose(rotated, embedded, atol=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_local_apply_affine_matches_the_embedded_map(data):
+    k = data.draw(st.sampled_from([1, 2]), label="k")
+    n = data.draw(st.integers(k, 6), label="n")
+    # any k distinct modes in any order: reversed and non-adjacent included
+    modes = tuple(data.draw(st.permutations(range(n)), label="order")[:k])
+    op = data.draw(symplectic_maps(k), label="op")
+    state = data.draw(mixed_states(n), label="state")
+    before = (state.mean.copy(), state.cov.copy())
+    local = apply_affine(state, op, modes)
+    dense = apply_affine(state, op.embed(n, modes))
+    scale = max(np.max(np.abs(dense.cov)), np.max(np.abs(dense.mean)))
+    assert np.max(np.abs(local.mean - dense.mean)) <= 1e-12 * scale
+    assert np.max(np.abs(local.cov - dense.cov)) <= 1e-12 * scale
+    np.testing.assert_array_equal(state.mean, before[0])
+    np.testing.assert_array_equal(state.cov, before[1])
+
+
+def test_local_apply_affine_rejects_bad_modes():
+    state = vacuum(3)
+    for modes, message in (
+        ((0,), "one target mode per local mode"),
+        ((1, 1), "distinct"),
+        ((0, 3), "out of range"),
+        ((-1, 0), "out of range"),
+    ):
+        with pytest.raises(InvalidOperationError, match=message):
+            apply_affine(state, controlled_phase(), modes)
 
 
 def test_tensor_permute_reduced_round_trip():
@@ -184,6 +218,55 @@ def test_fidelity_is_symmetric_and_bounded():
         f_ab, f_ba = fidelity(a, b), fidelity(b, a)
         assert f_ab == pytest.approx(f_ba, abs=1e-12)
         assert 0.0 <= f_ab <= 1.0
+
+
+def _thermal_squeezed(nu, omega, phi, mean):
+    """Rotated squeezed thermal state with symplectic eigenvalue nu."""
+    cov = nu * np.diag([1.0 / omega**2, omega**2])
+    return apply_affine(GaussianState(mean, cov), rotation(phi))
+
+
+def _one_mode_mixed_states(seed, count):
+    rng = np.random.default_rng(seed)
+    return [
+        _thermal_squeezed(
+            float(rng.uniform(0.55, 1.5)),
+            float(rng.uniform(0.4, 2.0)),
+            float(rng.uniform(0.0, np.pi)),
+            rng.normal(size=2),
+        )
+        for _ in range(count)
+    ]
+
+
+def _mixed_two_mode(a, b):
+    # a controlled-phase link keeps a product of mixed states mixed but
+    # correlates it, so the multi-mode formula sees off-diagonal blocks
+    return apply_affine(a.tensor(b), controlled_phase(0.7))
+
+
+def test_mixed_fidelity_formula_matches_the_one_mode_closed_form():
+    states = _one_mode_mixed_states(31, 12)
+    for a, b in zip(states[::2], states[1::2]):
+        assert not (a.is_pure() or b.is_pure())
+        assert _mixed_fidelity(a, b) == pytest.approx(fidelity(a, b), abs=1e-12)
+
+
+def test_mixed_fidelity_of_a_state_with_itself_is_one():
+    a, b, c = _one_mode_mixed_states(32, 3)
+    state = apply_affine(_mixed_two_mode(a, b).tensor(c), controlled_phase(-0.4), (2, 0))
+    assert not state.is_pure()
+    assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+    assert _mixed_fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixed_fidelity_factorises_on_products():
+    a1, b1, a2, b2 = _one_mode_mixed_states(33, 4)
+    joint = fidelity(a1.tensor(a2), b1.tensor(b2))
+    assert joint == pytest.approx(fidelity(a1, b1) * fidelity(a2, b2), abs=1e-12)
+    # the same pair seen through one shared two-mode map keeps its fidelity
+    linked = fidelity(_mixed_two_mode(a1, a2), _mixed_two_mode(b1, b2))
+    assert linked == pytest.approx(joint, abs=1e-12)
 
 
 def test_wigner_peak_tail_and_normalization():

@@ -11,7 +11,8 @@ from cvcluster.exceptions import (
     InvalidOperationError,
     ScheduleError,
 )
-from cvcluster.gaussian import apply_affine, coherent, fidelity, vacuum
+from cvcluster.cluster import nullifier_variances
+from cvcluster.gaussian import GaussianState, apply_affine, coherent, fidelity, vacuum
 from cvcluster.mbqc import (
     Basis,
     ByproductFrame,
@@ -35,7 +36,7 @@ from cvcluster.symplectic import (
     shift_q,
 )
 
-from conftest import assert_state_allclose
+from conftest import assert_state_allclose, fourier_wire
 
 
 def test_instruction_validation():
@@ -333,3 +334,25 @@ def test_frame_per_mode_view():
     np.testing.assert_allclose(parts[1].matrix, fourier().matrix, atol=1e-12)
     with pytest.raises(FrameError):
         ByproductFrame(controlled_phase(0.7)).per_mode()
+
+
+def test_long_wire_keeps_the_nullifier_law_and_matches_stepwise_teleportation():
+    # long enough that every link and readout acts on a wide register
+    program = fourier_wire(319)
+    omega = 0.3
+    compiled = compile_program(program, omega=omega)
+    assert len(compiled.graph.nodes) == 320
+    register = prepare_cluster_state(compiled, vacuum(1))
+    # the head node has width 1, matching the vacuum input it holds
+    assert nullifier_variances(register, compiled.graph).max_excess(compiled.graph) <= 1e-10
+    pins = {entry.node: 0.0 for entry in compiled.schedule.entries}
+    run = run_schedule(register, compiled, pins=pins)
+    assert run.outcomes == pins
+    stepwise = vacuum(1)
+    for _ in program.ops:
+        stepwise = teleport_step(stepwise, 0, omega, outcome=0.0).state
+    scale = float(np.max(np.abs(stepwise.cov)))
+    np.testing.assert_allclose(run.state.mean, stepwise.mean, atol=1e-10 * scale)
+    np.testing.assert_allclose(run.state.cov, stepwise.cov, atol=1e-10 * scale)
+    resolved = resolve_frame(run.state, run.frame)
+    GaussianState(resolved.mean, resolved.cov)  # obeys the uncertainty bound

@@ -278,6 +278,31 @@ def test_cli_runtime_failures_exit_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_run_accepts_a_mixed_input_on_several_wires(tmp_path, capsys):
+    # a thermalized input makes both the output and the target mixed
+    path = tmp_path / "config.json"
+    ops = [
+        {"kind": "cz", "targets": [0, 1]},
+        {"kind": "p", "params": [0.5], "targets": [0]},
+        {"kind": "z", "params": [0.2], "targets": [1]},
+        {"kind": "x", "params": [-0.3], "targets": [0]},
+        {"kind": "f", "targets": [1]},
+    ]
+    path.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "program": {"schema": 1, "modes": 2, "ops": ops},
+                "omega": 0.3,
+                "trials": 3,
+                "noise": {"input_excess_variance": 0.05},
+            }
+        )
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    assert "mean fidelity" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "op",
     [

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import symplectic_maps
 from cvcluster.exceptions import InvalidOperationError
 from cvcluster.symplectic import (
+    SYMPLECTIC_TOL,
     SymplecticAffine,
     controlled_addition,
     controlled_phase,
@@ -28,6 +32,29 @@ def test_symplectic_form_squares_to_minus_identity():
 def test_non_symplectic_matrix_rejected():
     with pytest.raises(InvalidOperationError):
         SymplecticAffine(np.diag([2.0, 2.0]))
+    with pytest.raises(InvalidOperationError, match="not symplectic"):
+        SymplecticAffine([[1, 1], [0, 2]])
+
+
+def _defect(op: SymplecticAffine) -> float:
+    form = symplectic_form(op.n_modes)
+    return float(np.max(np.abs(op.matrix.T @ form @ op.matrix - form)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_derived_maps_stay_symplectic(data):
+    # compose, inverse and embed skip the check, so their results must
+    # be symplectic by construction
+    k = data.draw(st.sampled_from([1, 2]), label="k")
+    first = data.draw(symplectic_maps(k), label="first")
+    second = data.draw(symplectic_maps(k), label="second")
+    n = data.draw(st.integers(k, 6), label="n")
+    modes = tuple(data.draw(st.permutations(range(n)), label="order")[:k])
+    composed = first.compose(second)
+    for derived in (composed, first.inverse(), composed.inverse(), first.embed(n, modes)):
+        assert _defect(derived) <= SYMPLECTIC_TOL
+    assert composed.compose(composed.inverse()).is_identity(tol=1e-9)
 
 
 def test_shift_gates_move_the_right_quadrature():
