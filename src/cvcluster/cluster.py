@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidOperationError
-from .gaussian import GaussianState, _apply_local, squeezed_vacuum_p
+from .gaussian import GaussianState, _add_link_noise, _apply_local, squeezed_vacuum_p
 from .symplectic import controlled_phase
 
 __all__ = [
@@ -110,6 +110,8 @@ def _linked_register(
     graph: ClusterGraph,
     source: GaussianState | None = None,
     source_nodes: tuple[int, ...] = (),
+    link_noise: tuple[float, float] = (0.0, 0.0),
+    rng: np.random.Generator | None = None,
 ) -> GaussianState:
     """The linked register of ``graph``, built in one allocation.
 
@@ -118,7 +120,8 @@ def _linked_register(
     other node holds a momentum-squeezed vacuum of its width.  Each
     edge's controlled-phase link then updates its two modes' rows and
     columns in place, so the build costs O(n^2) for the allocation plus
-    O(n) per edge.
+    O(n) per edge.  Each link's ``link_noise`` is added to both its ends
+    right after it (:func:`~cvcluster.gaussian._add_link_noise`).
     """
     n = len(graph.nodes)
     if n == 0:
@@ -138,6 +141,7 @@ def _linked_register(
     for a, b, weight in graph.edges:
         ia, ib = modes[a], modes[b]
         _apply_local(mean, cov, links[weight], [ia, ib, n + ia, n + ib])
+        _add_link_noise(mean, cov, (ia, ib), link_noise, rng)
     return GaussianState(mean, cov, validate=False)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidOperationError, InvalidStateError
-from .gaussian import GaussianState, apply_affine
+from .gaussian import GaussianState, _add_link_noise, apply_affine
 from .mbqc import (
     DEFAULT_ANCILLA_OMEGA,
     CompiledProgram,
@@ -65,8 +65,9 @@ class NoiseBudget:
 
     ``per_link_variance`` is added to both quadratures of both modes
     for every interaction link; the per-quadrature overrides allow an
-    anisotropic budget.  ``input_excess_variance`` thermalizes the
-    program input, modeling mixed input states.
+    anisotropic budget.  Each link's noise is added right after that
+    link, before later links spread it.  ``input_excess_variance``
+    thermalizes the program input, modeling mixed input states.
     """
 
     per_link_variance: float = 0.0
@@ -304,24 +305,16 @@ def apply_qnd_noise(
     per-link budget on each quadrature; with an rng the mean picks up
     a corresponding random kick, without one (pinned mode) the mean is
     untouched.  A mode listed several times in ``modes`` takes the noise
-    once per listing, in list order.
+    once per listing, in list order.  Cluster preparation adds this
+    noise with ``links=1`` to both ends of each link right after it.
     """
     if links < 0:
         raise InvalidOperationError("link count must be nonnegative")
     vq, vp = budget.link_variances()
-    if links == 0 or (vq == 0.0 and vp == 0.0):
-        return GaussianState(state.mean.copy(), state.cov.copy(), validate=False)
-    n = state.n_modes
-    modes = list(range(n)) if modes is None else modes
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    for mode in modes:
-        cov[mode, mode] += links * vq
-        cov[n + mode, n + mode] += links * vp
-        if rng is not None:
-            mean[mode] += rng.normal(0.0, np.sqrt(links * vq)) if vq else 0.0
-            mean[n + mode] += rng.normal(0.0, np.sqrt(links * vp)) if vp else 0.0
-    return GaussianState(mean, cov, validate=False)
+    out = GaussianState(state.mean.copy(), state.cov.copy(), validate=False)
+    modes = range(state.n_modes) if modes is None else modes
+    _add_link_noise(out.mean, out.cov, modes, (links * vq, links * vp), rng)
+    return out
 
 
 def apply_input_noise(state: GaussianState, budget: NoiseBudget) -> GaussianState:

@@ -2,9 +2,9 @@
 post-selection protocol, squeezing sweeps, and tomography-style
 summaries.
 
-Every Gaussian trial runs through one body, :func:`_run_trial`: a
-prepared register goes through ``run_schedule`` and ``resolve_frame``
-and is compared with the compiled program's intended map.
+Every Gaussian trial is scored by one body, :func:`_score`: the
+measured register's frame is resolved and the output is compared with
+the compiled program's intended map.
 
 All sampling flows from a master seed through per-trial substreams, so
 any trial can be replayed exactly from its index, and any recorded
@@ -19,15 +19,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distortion import NoiseBudget, apply_input_noise, apply_qnd_noise
+from .cluster import ClusterGraph, _linked_register, attach
+from .distortion import NoiseBudget, apply_input_noise
 from .exceptions import ConfigError, InvalidOperationError
 from .gaussian import (
     GaussianState,
+    _add_link_noise,
     apply_affine,
     coherent,
     fidelity,
-    homodyne,
-    squeezed_vacuum_p,
+    homodyne,  # noqa: F401 - unused; the benchmark tracer rebinds it here
     vacuum,
     wigner,
 )
@@ -35,13 +36,14 @@ from .mbqc import (
     CompiledProgram,
     GateProgram,
     Instruction,
+    RunResult,
     byproduct_frame,
     compile_program,
+    measure_entries,
     prepare_cluster_state,
     resolve_frame,
     run_schedule,
 )
-from .symplectic import controlled_phase
 
 DEFAULT_WIGNER_RANGE = 5.0
 DEFAULT_WIGNER_POINTS = 101
@@ -62,7 +64,6 @@ class ExperimentConfig:
     chain_nodes: int = 5
     input_mean: tuple[float, float] | None = None
     pins: dict[int, float] = field(default_factory=dict)
-    accept: Callable[[dict[int, float]], bool] | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -102,6 +103,23 @@ def _input_state(config: ExperimentConfig, n_modes: int) -> GaussianState:
     return apply_input_noise(source, config.budget)
 
 
+def _score(
+    compiled: CompiledProgram, run: RunResult, source: GaussianState, index: int
+) -> TrialRecord:
+    """Resolve a run's frame and compare its output with the intended
+    map applied to the input ``source``."""
+    resolved = resolve_frame(run.state, run.frame)
+    value = fidelity(resolved, apply_affine(source, compiled.intended))
+    return TrialRecord(
+        index=index,
+        outcomes=dict(run.outcomes),
+        accepted=True,
+        mean=resolved.mean.tolist(),
+        cov=resolved.cov.tolist(),
+        fidelity=float(value),
+    )
+
+
 def _run_trial(
     compiled: CompiledProgram,
     prepared: GaussianState,
@@ -110,19 +128,27 @@ def _run_trial(
     pins: dict[int, float] | None = None,
     index: int = 0,
 ) -> TrialRecord:
-    """Measure a prepared register, resolve its frame, and compare the
-    output with the intended map applied to the input ``source``."""
-    result = run_schedule(prepared, compiled, rng=rng, pins=pins)
-    resolved = resolve_frame(result.state, result.frame)
-    value = fidelity(resolved, apply_affine(source, compiled.intended))
-    return TrialRecord(
-        index=index,
-        outcomes=dict(result.outcomes),
-        accepted=True,
-        mean=resolved.mean.tolist(),
-        cov=resolved.cov.tolist(),
-        fidelity=float(value),
-    )
+    """Measure a prepared register through its whole schedule and score it."""
+    run = run_schedule(prepared, compiled, rng=rng, pins=pins)
+    return _score(compiled, run, source, index)
+
+
+def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
+    """The configured program's trials with the given indices; trial ``t``
+    draws its link noise and outcomes from ``trial_rng(seed, t)``."""
+    if config.program is None:
+        raise ConfigError("running a program needs a program in the config")
+    compiled = compile_program(config.program, config.omega, config.omega_overrides)
+    source = _input_state(config, config.program.n_modes)
+    link_noise = config.budget.link_variances()
+    records = []
+    for trial in indices:
+        rng = trial_rng(config.seed, trial)
+        prepared = prepare_cluster_state(compiled, source, link_noise, rng)
+        records.append(
+            _run_trial(compiled, prepared, source, rng, config.pins or None, trial)
+        )
+    return records
 
 
 def run_program(config: ExperimentConfig) -> list[TrialRecord]:
@@ -132,32 +158,14 @@ def run_program(config: ExperimentConfig) -> list[TrialRecord]:
     frame-resolved output compared against the program's intended
     action on the input.
     """
-    if config.program is None:
-        raise ConfigError("run_program needs a program in the config")
-    compiled = compile_program(config.program, config.omega, config.omega_overrides)
-    graph = compiled.graph
-    # both ends of every link in edge order, so one noise call draws in the
-    # same order as one call per link would
-    link_modes = [graph.mode_index(node) for edge in graph.edges for node in edge[:2]]
-    records = []
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        source = _input_state(config, config.program.n_modes)
-        prepared = prepare_cluster_state(compiled, source)
-        if not config.budget.is_zero:
-            prepared = apply_qnd_noise(prepared, 1, config.budget, rng, link_modes)
-        records.append(
-            _run_trial(compiled, prepared, source, rng, config.pins or None, trial)
-        )
-    return records
+    return _program_trials(config, range(config.trials))
 
 
 def replay_trial(config: ExperimentConfig, record: TrialRecord) -> TrialRecord:
-    """Re-run one trial with every outcome pinned from its record."""
-    if config.program is None:
-        raise ConfigError("replay needs a program in the config")
-    single = replace(config, trials=1, pins=dict(record.outcomes))
-    return replace(run_program(single)[0], index=record.index)
+    """Re-run one trial with every outcome pinned from its record, on the
+    same substream, so its link-noise kicks are redrawn exactly."""
+    pinned = replace(config, pins=dict(record.outcomes))
+    return _program_trials(pinned, [record.index])[0]
 
 
 @dataclass(frozen=True)
@@ -193,29 +201,10 @@ def _summarize(values: list[float]) -> StrategySummary:
     return StrategySummary(float(array.mean()), stderr, array.size)
 
 
-def _measure_momentum(state, mode_of, node, rng):
-    result = homodyne(state, mode_of[node], math.pi / 2.0, rng=rng)
-    mode_of.pop(node)
-    updated = {n: result.relabel[i] for n, i in mode_of.items()}
-    return result.outcome, result.state, updated
-
-
-def _linked(state, mode_a, mode_b, budget, rng):
-    state = apply_affine(state, controlled_phase(1.0), [mode_a, mode_b])
-    if not budget.is_zero:
-        state = apply_qnd_noise(state, 1, budget, rng, [mode_a, mode_b])
-    return state
-
-
-def _linked_line(first, extra, omega, budget, rng):
-    """``first`` followed by ``extra`` squeezed nodes, linked in a line
-    with each link's noise added right after that link."""
-    state = first
-    for _ in range(extra):
-        state = state.tensor(squeezed_vacuum_p(omega))
-    for mode in range(extra):
-        state = _linked(state, mode, mode + 1, budget, rng)
-    return state
+def _shifted(record: TrialRecord) -> TrialRecord:
+    """Shift a chain record to 1-based node ids, in measurement order."""
+    record.outcomes = {node + 1: s for node, s in record.outcomes.items()}
+    return record
 
 
 def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSummary:
@@ -225,75 +214,54 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
 
     Both strategies teleport the node-1 input to the final node through
     the same number of steps; post-selection changes only which trials
-    survive.  Rejected trials are counted, not retried.  Both share the
+    survive.  Rejected trials are counted, not retried.  Both run on the
     compiled chain of Fourier steps, whose node ``k`` is chain node
-    ``k + 1``; the straight-through arm runs on it as a program trial.
+    ``k + 1``: the straight-through arm is a program trial on it, and
+    the mini-cluster is the chain without its head node, measured with
+    the chain's schedule entries.  Records use the 1-based chain ids.
     """
-    n = config.chain_nodes
-    node_ids = list(range(1, n + 1))
-    inner = node_ids[2:-1]  # pre-measured mini-cluster nodes
     chain = compile_program(
-        GateProgram(1, (Instruction("f", (0,)),) * (n - 1)), config.omega
+        GateProgram(1, (Instruction("f", (0,)),) * (config.chain_nodes - 1)),
+        config.omega,
     )
-
-    def default_accept(outcomes: dict[int, float]) -> bool:
-        return all(abs(outcomes[node]) <= config.window for node in inner)
-
-    accept = config.accept or default_accept
+    head, first = chain.graph.node_ids[:2]
+    entries = chain.schedule.entries
+    attach_entries, inner_entries = entries[:2], entries[2:]
+    mini_graph = ClusterGraph(chain.graph.nodes[1:], chain.graph.edges[1:])
+    source = _input_state(config, 1)
+    link_noise = config.budget.link_variances()
 
     baseline_records: list[TrialRecord] = []
     mini_records: list[TrialRecord] = []
-    baseline_fidelities: list[float] = []
-    selected_fidelities: list[float] = []
     inner_magnitudes = np.zeros(config.trials)
 
     for trial in range(config.trials):
         # strategy A: full chain, measure every node before the output
         rng = trial_rng(config.seed, trial, arm=0)
-        source = _input_state(config, 1)
-        state = _linked_line(source, n - 1, config.omega, config.budget, rng)
-        record = _run_trial(chain, state, source, rng, index=trial)
-        record.outcomes = {node + 1: s for node, s in record.outcomes.items()}
-        baseline_fidelities.append(record.fidelity)
-        baseline_records.append(record)
+        prepared = prepare_cluster_state(chain, source, link_noise, rng)
+        record = _run_trial(chain, prepared, source, rng, index=trial)
+        baseline_records.append(_shifted(record))
 
         # strategy B: detached mini-cluster, pre-measure, select, attach
         rng = trial_rng(config.seed, trial, arm=1)
-        source = _input_state(config, 1)
-        mini_nodes = node_ids[1:]
-        state = _linked_line(
-            squeezed_vacuum_p(config.omega), n - 2, config.omega, config.budget, rng
-        )
-        mode_of = {node: i for i, node in enumerate(mini_nodes)}
+        state = _linked_register(mini_graph, link_noise=link_noise, rng=rng)
+        mode_of = {node: i for i, node in enumerate(mini_graph.node_ids)}
         outcomes: dict[int, float] = {}
-        for node in inner:
-            outcomes[node], state, mode_of = _measure_momentum(
-                state, mode_of, node, rng
+        state, mode_of = measure_entries(state, mode_of, inner_entries, outcomes, rng)
+        magnitude = max(abs(s) for s in outcomes.values())
+        inner_magnitudes[trial] = magnitude
+        if magnitude > config.window:
+            mini_records.append(
+                _shifted(TrialRecord(trial, outcomes, False, None, None, None))
             )
-        inner_magnitudes[trial] = max(abs(outcomes[node]) for node in inner)
-        if not accept(outcomes):
-            mini_records.append(TrialRecord(trial, outcomes, False, None, None, None))
             continue
-        state = source.tensor(state)
+        state = attach(source, state, [(0, mode_of[first])])
         mode_of = {node: idx + 1 for node, idx in mode_of.items()}
-        mode_of[node_ids[0]] = 0
-        state = _linked(
-            state, mode_of[node_ids[0]], mode_of[node_ids[1]], config.budget, rng
-        )
-        for node in node_ids[:2]:
-            outcomes[node], state, mode_of = _measure_momentum(
-                state, mode_of, node, rng
-            )
-        chain_outcomes = {node - 1: outcomes[node] for node in node_ids[:-1]}
-        frame = byproduct_frame(chain, chain_outcomes)
-        resolved = resolve_frame(state, frame)
-        value = float(fidelity(resolved, apply_affine(source, chain.intended)))
-        selected_fidelities.append(value)
-        mini_records.append(
-            TrialRecord(
-                trial, outcomes, True, resolved.mean.tolist(), resolved.cov.tolist(), value
-            )
-        )
+        mode_of[head] = 0
+        _add_link_noise(state.mean, state.cov, (0, mode_of[first]), link_noise, rng)
+        state, _ = measure_entries(state, mode_of, attach_entries, outcomes, rng)
+        run = RunResult(outcomes, state, byproduct_frame(chain, outcomes), ())
+        mini_records.append(_shifted(_score(chain, run, source, trial)))
 
     curve_grid = np.linspace(0.05, 5.0, 25)
     curve = [
@@ -302,10 +270,11 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     if math.isfinite(config.window):
         curve.append((config.window, float(np.mean(inner_magnitudes <= config.window))))
         curve.sort()
-    accepted = len(selected_fidelities)
+    selected = [record.fidelity for record in mini_records if record.accepted]
+    accepted = len(selected)
     return PostSelectionSummary(
-        baseline=_summarize(baseline_fidelities),
-        selected=_summarize(selected_fidelities),
+        baseline=_summarize([record.fidelity for record in baseline_records]),
+        selected=_summarize(selected),
         acceptance_rate=accepted / config.trials,
         accepted_trials=accepted,
         no_accepts=accepted == 0,

@@ -152,6 +152,28 @@ def _apply_local(
     cov[:, index] = cov[:, index] @ op.matrix.T
 
 
+def _add_link_noise(
+    mean: np.ndarray,
+    cov: np.ndarray,
+    modes,
+    link_noise: tuple[float, float],
+    rng: np.random.Generator | None = None,
+) -> None:
+    """Add one link's noise ``(vq, vp)`` in place to each listed mode's
+    position and momentum variances, with matching mean kicks drawn from
+    ``rng`` mode by mode (none without one; none at all for zero noise)."""
+    vq, vp = link_noise
+    if vq == 0.0 and vp == 0.0:
+        return
+    n = mean.shape[0] // 2
+    for mode in modes:
+        cov[mode, mode] += vq
+        cov[n + mode, n + mode] += vp
+        if rng is not None:
+            mean[mode] += rng.normal(0.0, np.sqrt(vq)) if vq else 0.0
+            mean[n + mode] += rng.normal(0.0, np.sqrt(vp)) if vp else 0.0
+
+
 def apply_affine(
     state: GaussianState,
     op: SymplecticAffine,

@@ -338,10 +338,16 @@ def compile_program(
 
 
 def prepare_cluster_state(
-    compiled: CompiledProgram, input_state: GaussianState | None = None
+    compiled: CompiledProgram,
+    input_state: GaussianState | None = None,
+    link_noise: tuple[float, float] = (0.0, 0.0),
+    rng: np.random.Generator | None = None,
 ) -> GaussianState:
     """Build the physical register: inputs on head nodes, squeezed
-    vacua elsewhere, all graph links applied."""
+    vacua elsewhere, all graph links applied in edge order.  The link
+    noise ``(vq, vp)`` of ``NoiseBudget.link_variances()`` lands on both
+    ends of each link right after it, before later links spread it, with
+    mean kicks drawn from ``rng``."""
     n_wires = compiled.program.n_modes
     if input_state is None:
         input_state = vacuum(n_wires)
@@ -349,7 +355,9 @@ def prepare_cluster_state(
         raise InvalidOperationError(
             f"input has {input_state.n_modes} modes, program has {n_wires}"
         )
-    return _linked_register(compiled.graph, input_state, compiled.head_nodes)
+    return _linked_register(
+        compiled.graph, input_state, compiled.head_nodes, link_noise, rng
+    )
 
 
 @dataclass
@@ -398,6 +406,17 @@ class TeleportResult:
     frame_update: SymplecticAffine
 
 
+# shared by every byproduct, so it is read-only
+_FOURIER_MATRIX = fourier().matrix
+_FOURIER_MATRIX.flags.writeable = False
+
+
+def _byproduct(outcome: float) -> SymplecticAffine:
+    """Teleport byproduct of one recorded outcome: the quarter rotation
+    followed by a position shift, ``shift_q(outcome) ∘ F``."""
+    return SymplecticAffine._derived(_FOURIER_MATRIX, np.array([outcome, 0.0]))
+
+
 def _insert_last_at(state: GaussianState, position: int) -> GaussianState:
     """Move the last mode to ``position``, shifting the rest up."""
     n = state.n_modes
@@ -431,8 +450,7 @@ def teleport_step(
     result = homodyne(worked, mode, basis.engine_angle, outcome=raw, rng=rng)
     recorded = outcome if outcome is not None else basis.record(result.outcome)
     out_state = _insert_last_at(result.state, mode)
-    update = SymplecticAffine(fourier().matrix, np.array([recorded, 0.0]))
-    return TeleportResult(recorded, out_state, update)
+    return TeleportResult(recorded, out_state, _byproduct(recorded))
 
 
 @dataclass(frozen=True)
@@ -480,8 +498,8 @@ def cz_step(
     order.insert(low, remaining - 2 if low == mode_a else remaining - 1)
     order.insert(high, remaining - 1 if high == mode_b else remaining - 2)
     out_state = worked.permute_modes(order)
-    update_a = SymplecticAffine(fourier().matrix, np.array([s1, 0.0])).embed(2, [0])
-    update_b = SymplecticAffine(fourier().matrix, np.array([s2, 0.0])).embed(2, [1])
+    update_a = _byproduct(s1).embed(2, [0])
+    update_b = _byproduct(s2).embed(2, [1])
     return CzStepResult((s1, s2), out_state, update_b.compose(update_a))
 
 
@@ -502,9 +520,7 @@ def step_physical_affine(
     if step.kind == "classical":
         return SymplecticAffine.identity(n_wires)
     byproducts = [
-        SymplecticAffine(fourier().matrix, np.array([outcomes[node], 0.0])).embed(
-            n_wires, [wire]
-        )
+        _byproduct(outcomes[node]).embed(n_wires, [wire])
         for wire, node in zip(step.wires, step.measured_nodes)
     ]
     if step.instruction.kind == "f":
@@ -528,6 +544,33 @@ def byproduct_frame(
     return ByproductFrame(physical.compose(compiled.intended.inverse()))
 
 
+def measure_entries(
+    state: GaussianState,
+    mode_of: dict[int, int],
+    entries,
+    outcomes: dict[int, float],
+    rng: np.random.Generator | None = None,
+    pins: dict[int, float] | None = None,
+) -> tuple[GaussianState, dict[int, int]]:
+    """Measure each entry's node (mode ``mode_of[node]``, a map this call
+    consumes) in its basis, in order, recording into ``outcomes``; pinned
+    nodes condition on ``pins``, the rest sample from ``rng``.  Returns
+    the surviving register and its node-to-mode map."""
+    pins = pins or {}
+    for entry in entries:
+        pinned = pins.get(entry.node)
+        raw = None if pinned is None else entry.basis.raw(pinned)
+        result = homodyne(
+            state, mode_of.pop(entry.node), entry.basis.engine_angle, raw, rng
+        )
+        outcomes[entry.node] = (
+            pinned if pinned is not None else entry.basis.record(result.outcome)
+        )
+        state = result.state
+        mode_of = {node: result.relabel[idx] for node, idx in mode_of.items()}
+    return state, mode_of
+
+
 def run_schedule(
     state: GaussianState,
     compiled: CompiledProgram,
@@ -535,18 +578,16 @@ def run_schedule(
     rng: np.random.Generator | None = None,
     pins: dict[int, float] | None = None,
 ) -> RunResult:
-    """Execute every scheduled measurement on a prepared register.
+    """Execute every scheduled measurement on a prepared register with
+    :func:`measure_entries`.
 
     ``order`` permutes measurement execution; the byproduct frame comes
     from :func:`byproduct_frame`, so it does not depend on the order.
-    ``pins`` maps node ids to recorded outcomes; unpinned nodes sample
-    from ``rng``.
     """
     schedule = compiled.schedule
     order = (
         schedule.canonical_order() if order is None else schedule.validate_order(order)
     )
-    pins = pins or {}
     n_wires = compiled.program.n_modes
     mode_of = {node_id: i for i, (node_id, _) in enumerate(compiled.graph.nodes)}
     if state.n_modes != len(mode_of):
@@ -554,20 +595,9 @@ def run_schedule(
             f"register has {state.n_modes} modes, graph has {len(mode_of)} nodes"
         )
     outcomes: dict[int, float] = {}
-    working = state
-    for entry_index in order:
-        entry = schedule.entries[entry_index]
-        pinned = pins.get(entry.node)
-        raw = None if pinned is None else entry.basis.raw(pinned)
-        result = homodyne(
-            working, mode_of[entry.node], entry.basis.engine_angle, outcome=raw, rng=rng
-        )
-        outcomes[entry.node] = (
-            pinned if pinned is not None else entry.basis.record(result.outcome)
-        )
-        working = result.state
-        mode_of.pop(entry.node)
-        mode_of = {node: result.relabel[idx] for node, idx in mode_of.items()}
+    working, mode_of = measure_entries(
+        state, mode_of, (schedule.entries[i] for i in order), outcomes, rng, pins
+    )
     if len(mode_of) != n_wires:
         raise ScheduleError("schedule left a dangling unmeasured node")
     wire_order = [mode_of[tail] for tail in compiled.tail_nodes]

@@ -10,6 +10,7 @@ from cvcluster.distortion import NoiseBudget, apply_input_noise, apply_qnd_noise
 from cvcluster.exceptions import ConfigError, InvalidOperationError
 from cvcluster.experiment import (
     ExperimentConfig,
+    TrialRecord,
     _run_trial,
     fidelity_vs_squeezing,
     run_postselection_experiment,
@@ -18,12 +19,21 @@ from cvcluster.experiment import (
     tomography_summary,
     trial_rng,
 )
-from cvcluster.gaussian import apply_affine, coherent, squeezed_vacuum_p, vacuum
+from cvcluster.gaussian import (
+    apply_affine,
+    coherent,
+    fidelity,
+    homodyne,
+    squeezed_vacuum_p,
+    vacuum,
+)
 from cvcluster.mbqc import (
     GateProgram,
     Instruction,
+    byproduct_frame,
     compile_program,
     prepare_cluster_state,
+    resolve_frame,
 )
 from cvcluster.symplectic import controlled_phase
 
@@ -97,6 +107,22 @@ def test_same_config_runs_are_bit_identical():
         assert a.cov == b.cov
 
 
+NOISY = NoiseBudget(per_link_variance=0.01, input_excess_variance=0.02)
+
+
+def test_replay_reproduces_every_trial_of_a_noisy_run():
+    # each trial's link-noise kicks come from its own substream
+    config = ExperimentConfig(
+        program=fourier_wire(2),
+        omega=0.3,
+        trials=3,
+        seed=2026,
+        budget=NoiseBudget(per_link_variance=0.01),
+    )
+    for record in run_program(config):
+        assert replay_trial(config, record) == record
+
+
 def test_replay_reproduces_a_recorded_trial():
     config = ExperimentConfig(
         program=fourier_wire(2), omega=0.3, trials=3, seed=23
@@ -154,18 +180,6 @@ def test_zero_window_rejects_every_trial():
     assert math.isnan(summary.selected.mean_fidelity)
 
 
-def test_always_accepting_matches_an_infinite_window():
-    wide = run_postselection_experiment(
-        ExperimentConfig(omega=0.3, window=math.inf, trials=60, seed=13)
-    )
-    custom = run_postselection_experiment(
-        ExperimentConfig(omega=0.3, trials=60, seed=13, accept=lambda o: True)
-    )
-    assert wide.acceptance_rate == 1.0
-    assert custom.acceptance_rate == 1.0
-    assert custom.selected.mean_fidelity == wide.selected.mean_fidelity
-
-
 def test_accept_all_strategies_agree_in_distribution():
     summary = run_postselection_experiment(
         ExperimentConfig(omega=0.3, window=math.inf, trials=400, seed=11)
@@ -175,10 +189,7 @@ def test_accept_all_strategies_agree_in_distribution():
     assert gap < 5.0 * spread
 
 
-@pytest.mark.parametrize(
-    "budget",
-    [NoiseBudget(), NoiseBudget(per_link_variance=0.01, input_excess_variance=0.02)],
-)
+@pytest.mark.parametrize("budget", [NoiseBudget(), NOISY])
 def test_baseline_arm_is_a_compiled_fourier_chain_trial(budget):
     omega = 0.3
     chain = compile_program(fourier_wire(4), omega)
@@ -218,11 +229,100 @@ def test_run_program_adds_each_links_noise_in_edge_order():
     graph = compiled.graph
     for trial, record in enumerate(run_program(config)):
         rng = trial_rng(9, trial)
-        register = prepare_cluster_state(compiled, vacuum(2))
-        for a, b, _ in graph.edges:
+        register = vacuum(2)
+        for _, width in graph.nodes[2:]:
+            register = register.tensor(squeezed_vacuum_p(width))
+        for a, b, weight in graph.edges:
             modes = [graph.mode_index(a), graph.mode_index(b)]
+            register = apply_affine(register, controlled_phase(weight), modes)
             register = apply_qnd_noise(register, 1, budget, rng, modes)
         assert record == _run_trial(compiled, register, vacuum(2), rng, index=trial)
+
+
+@pytest.mark.parametrize("budget", [NoiseBudget(), NOISY])
+def test_run_program_on_the_chain_equals_the_baseline_arm(budget):
+    for seed in (0, 5, 21):
+        config = ExperimentConfig(
+            program=fourier_wire(4), omega=0.3, trials=3, seed=seed, budget=budget
+        )
+        baseline = run_postselection_experiment(config).baseline_records
+        for record, chain_record in zip(baseline, run_program(config), strict=True):
+            shifted = {node + 1: s for node, s in chain_record.outcomes.items()}
+            assert list(record.outcomes.items()) == list(shifted.items())
+            assert (record.mean, record.cov, record.fidelity) == (
+                chain_record.mean,
+                chain_record.cov,
+                chain_record.fidelity,
+            )
+
+
+def _reference_mini_records(config: ExperimentConfig) -> list[TrialRecord]:
+    """The mini-cluster arm step by step: a hand-linked line with each
+    link's noise right after it, momentum readouts of the inner nodes,
+    the window, then the input linked to node 2 and nodes 1 and 2 read."""
+    n, budget = config.chain_nodes, config.budget
+    chain = compile_program(fourier_wire(n - 1), config.omega)
+    node_ids = list(range(1, n + 1))
+    inner = node_ids[2:-1]
+
+    def linked(state, a, b, rng):
+        state = apply_affine(state, controlled_phase(1.0), [a, b])
+        return apply_qnd_noise(state, 1, budget, rng, [a, b])
+
+    def measure(state, mode_of, node, rng):
+        result = homodyne(state, mode_of.pop(node), math.pi / 2.0, rng=rng)
+        relabel = {m: result.relabel[i] for m, i in mode_of.items()}
+        return result.outcome, result.state, relabel
+
+    records = []
+    for trial in range(config.trials):
+        rng = trial_rng(config.seed, trial, arm=1)
+        source = apply_input_noise(vacuum(1), budget)
+        state = squeezed_vacuum_p(config.omega)
+        for _ in range(n - 2):
+            state = state.tensor(squeezed_vacuum_p(config.omega))
+        for mode in range(n - 2):
+            state = linked(state, mode, mode + 1, rng)
+        mode_of = {node: i for i, node in enumerate(node_ids[1:])}
+        outcomes = {}
+        for node in inner:
+            outcomes[node], state, mode_of = measure(state, mode_of, node, rng)
+        if not all(abs(outcomes[node]) <= config.window for node in inner):
+            records.append(TrialRecord(trial, outcomes, False, None, None, None))
+            continue
+        state = source.tensor(state)
+        mode_of = {node: i + 1 for node, i in mode_of.items()}
+        mode_of[node_ids[0]] = 0
+        state = linked(state, 0, mode_of[node_ids[1]], rng)
+        for node in node_ids[:2]:
+            outcomes[node], state, mode_of = measure(state, mode_of, node, rng)
+        chain_outcomes = {node - 1: outcomes[node] for node in node_ids[:-1]}
+        resolved = resolve_frame(state, byproduct_frame(chain, chain_outcomes))
+        value = fidelity(resolved, apply_affine(source, chain.intended))
+        records.append(
+            TrialRecord(
+                trial,
+                outcomes,
+                True,
+                resolved.mean.tolist(),
+                resolved.cov.tolist(),
+                float(value),
+            )
+        )
+    return records
+
+
+@pytest.mark.parametrize("budget", [NoiseBudget(), NOISY])
+@pytest.mark.parametrize("window", [0.5, math.inf])
+def test_mini_arm_matches_the_step_by_step_procedure(budget, window):
+    config = ExperimentConfig(omega=0.3, window=window, trials=160, seed=4, budget=budget)
+    mini = run_postselection_experiment(config).mini_records
+    expected = _reference_mini_records(config)
+    if window == 0.5:
+        assert {record.accepted for record in expected} == {True, False}
+    for record, reference in zip(mini, expected, strict=True):
+        assert record == reference
+        assert list(record.outcomes) == list(reference.outcomes)
 
 
 def test_shorter_wires_carry_less_distortion():

@@ -18,6 +18,7 @@ from cvcluster.mbqc import (
     ByproductFrame,
     GateProgram,
     Instruction,
+    _byproduct,
     basis_for_diagonal,
     compile_program,
     cz_step,
@@ -162,6 +163,13 @@ def test_reordering_within_a_barrier_group_is_allowed():
     program = GateProgram(2, (Instruction("f", (0,)), Instruction("f", (1,))))
     schedule = compile_program(program).schedule
     assert schedule.validate_order((1, 0)) == (1, 0)
+
+
+@pytest.mark.parametrize("outcome", [0.0, -1.25, 0.3, 7e-9])
+def test_byproduct_is_a_shift_after_the_quarter_rotation(outcome):
+    expected = shift_q(outcome).compose(fourier())
+    assert np.array_equal(_byproduct(outcome).matrix, expected.matrix)
+    assert np.array_equal(_byproduct(outcome).shift, expected.shift)
 
 
 def test_single_teleport_step_identity_gate():

@@ -356,6 +356,44 @@ def test_cli_postselect_writes_summary(tmp_path, capsys):
     assert curve[3] == "window,acceptance_rate"
 
 
+def test_cli_run_on_the_chain_writes_the_postselect_baseline(tmp_path, capsys):
+    # one link-noise model: the straight-through arm is a program run
+    shared = {
+        "schema": 1,
+        "omega": 0.3,
+        "trials": 4,
+        "seed": 1,
+        "noise": {"per_link_variance": 0.01, "input_excess_variance": 0.02},
+    }
+    chain = {"kind": "f", "targets": [0]}
+    run_config = tmp_path / "run.json"
+    run_config.write_text(
+        json.dumps(
+            {**shared, "program": {"schema": 1, "modes": 1, "ops": [chain] * 4}}
+        )
+    )
+    post_config = tmp_path / "post.json"
+    post_config.write_text(json.dumps(shared))
+    assert main(["run", "--config", str(run_config), "--out", str(tmp_path / "r")]) == 0
+    assert (
+        main(["postselect", "--config", str(post_config), "--out", str(tmp_path / "p")])
+        == 0
+    )
+    capsys.readouterr()
+
+    def records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()[1:]]
+
+    baseline = records(tmp_path / "p" / "baseline.jsonl")
+    run = records(tmp_path / "r" / "trials.jsonl")
+    assert len(run) == len(baseline) == 4
+    for record in run:
+        record["outcomes"] = {
+            str(int(node) + 1): s for node, s in record["outcomes"].items()
+        }
+    assert json.dumps(run) == json.dumps(baseline)
+
+
 def test_cli_sweep_prints_and_writes_the_table(tmp_path, program_config, capsys):
     out = tmp_path / "sweep"
     code = main(
