@@ -14,8 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidOperationError
-from .gaussian import GaussianState, _add_link_noise, _apply_local, squeezed_vacuum_p
-from .symplectic import controlled_phase
+from .gaussian import (
+    GaussianState,
+    _add_link_kicks,
+    _add_link_noise,
+    _apply_local,
+    _apply_local_mean,
+    squeezed_vacuum_p,
+)
+from .symplectic import SymplecticAffine, controlled_phase
 
 __all__ = [
     "ClusterGraph",
@@ -106,23 +113,9 @@ def build_cluster(graph: ClusterGraph) -> GaussianState:
     return _linked_register(graph)
 
 
-def _linked_register(
-    graph: ClusterGraph,
-    source: GaussianState | None = None,
-    source_nodes: tuple[int, ...] = (),
-    link_noise: tuple[float, float] = (0.0, 0.0),
-    rng: np.random.Generator | None = None,
-) -> GaussianState:
-    """The linked register of ``graph``, built in one allocation.
-
-    Mode k is the k-th entry of ``graph.nodes``.  Mode i of ``source``
-    sits on node ``source_nodes[i]`` (one node per source mode); every
-    other node holds a momentum-squeezed vacuum of its width.  Each
-    edge's controlled-phase link then updates its two modes' rows and
-    columns in place, so the build costs O(n^2) for the allocation plus
-    O(n) per edge.  Each link's ``link_noise`` is added to both its ends
-    right after it (:func:`~cvcluster.gaussian._add_link_noise`).
-    """
+def _unlinked(graph: ClusterGraph, source: GaussianState | None = None, source_nodes=()):
+    """Mean and covariance before any link: mode i of ``source`` on node
+    ``source_nodes[i]``, squeezed vacua elsewhere."""
     n = len(graph.nodes)
     if n == 0:
         raise InvalidOperationError("cluster graph has no nodes")
@@ -136,13 +129,51 @@ def _linked_register(
         index = placed + [n + k for k in placed]
         mean[index] = source.mean
         cov[np.ix_(index, index)] = source.cov
-    links = {weight: controlled_phase(weight) for _, _, weight in graph.edges}
-    modes = graph._modes
-    for a, b, weight in graph.edges:
-        ia, ib = modes[a], modes[b]
-        _apply_local(mean, cov, links[weight], [ia, ib, n + ia, n + ib])
-        _add_link_noise(mean, cov, (ia, ib), link_noise, rng)
+    return mean, cov
+
+
+def _links(graph: ClusterGraph) -> list[tuple[SymplecticAffine, list[int]]]:
+    """Each edge's controlled-phase map and the quadratures it acts on."""
+    n, modes = len(graph.nodes), graph._modes
+    maps = {weight: controlled_phase(weight) for _, _, weight in graph.edges}
+    return [
+        (maps[weight], [modes[a], modes[b], n + modes[a], n + modes[b]])
+        for a, b, weight in graph.edges
+    ]
+
+
+def _linked_register(
+    graph: ClusterGraph,
+    source: GaussianState | None = None,
+    source_nodes: tuple[int, ...] = (),
+    link_noise: tuple[float, float] = (0.0, 0.0),
+    rng: np.random.Generator | None = None,
+) -> GaussianState:
+    """The linked register of ``graph``, built in one allocation.
+
+    Mode k is the k-th entry of ``graph.nodes``; the register starts as
+    :func:`_unlinked`.  Each edge's controlled-phase link then updates
+    its two modes' rows and columns in place, so the build costs O(n^2)
+    for the allocation plus O(n) per edge.  Each link's ``link_noise``
+    is added to both its ends right after it
+    (:func:`~cvcluster.gaussian._add_link_noise`).
+    """
+    mean, cov = _unlinked(graph, source, source_nodes)
+    for link, index in _links(graph):
+        _apply_local(mean, cov, link, index)
+        _add_link_noise(mean, cov, index[:2], link_noise, rng)
     return GaussianState(mean, cov, validate=False)
+
+
+def _relink_mean(mean: np.ndarray, links, link_noise: tuple[float, float], rng) -> np.ndarray:
+    """Mean half of linking, on a copy of the unlinked ``mean``: each of
+    ``links`` in turn, then its noise kicks from ``rng``.  The covariance
+    is the same in every trial, so this is all a trial has to replay."""
+    mean = mean.copy()
+    for link, index in links:
+        _apply_local_mean(mean, link, index)
+        _add_link_kicks(mean, index[:2], link_noise, rng)
+    return mean
 
 
 def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> NullifierReport:

@@ -278,7 +278,7 @@ def decompose_distortion(
     prefix = SymplecticAffine.identity(n)
     terms: list[LinearFormEnvelope] = []
     for step in compiled.schedule.steps:
-        prefix = step_physical_affine(step, recorded, n).compose(prefix)
+        prefix = step_physical_affine(compiled, step, recorded).compose(prefix)
         for wire, width in zip(step.wires, step.omegas):
             row = prefix.matrix[wire]
             terms.append(

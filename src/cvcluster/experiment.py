@@ -6,6 +6,13 @@ Every Gaussian trial is scored by one body, :func:`_score`: the
 measured register's frame is resolved and the output is compared with
 the compiled program's intended map.
 
+Computed once per call: the compiled program, the prepared register's
+covariance (link noise adds fixed variance and moves only the mean),
+the schedule plan (:class:`~cvcluster.mbqc.SchedulePlan`) and the
+intended output.  Computed per trial: the links' mean halves and kicks
+(with link noise), the plan's mean walk, the frame and the fidelity,
+in the arithmetic of measuring each trial from scratch, bit for bit.
+
 All sampling flows from a master seed through per-trial substreams, so
 any trial can be replayed exactly from its index, and any recorded
 outcome set can be replayed in pinned mode.
@@ -19,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cluster import ClusterGraph, _linked_register, attach
+from .cluster import ClusterGraph, _linked_register, _links, _relink_mean, _unlinked, attach
 from .distortion import NoiseBudget, apply_input_noise
 from .exceptions import ConfigError, InvalidOperationError
 from .gaussian import (
@@ -37,13 +44,16 @@ from .mbqc import (
     GateProgram,
     Instruction,
     RunResult,
+    SchedulePlan,
     byproduct_frame,
     compile_program,
-    measure_entries,
+    plan_schedule,
     prepare_cluster_state,
     resolve_frame,
+    run_plan,
     run_schedule,
 )
+from .symplectic import _embed_index, controlled_phase
 
 DEFAULT_WIGNER_RANGE = 5.0
 DEFAULT_WIGNER_POINTS = 101
@@ -104,12 +114,12 @@ def _input_state(config: ExperimentConfig, n_modes: int) -> GaussianState:
 
 
 def _score(
-    compiled: CompiledProgram, run: RunResult, source: GaussianState, index: int
+    compiled: CompiledProgram, run: RunResult, target: GaussianState, index: int
 ) -> TrialRecord:
-    """Resolve a run's frame and compare its output with the intended
-    map applied to the input ``source``."""
+    """Resolve a run's frame and compare its output with ``target``, the
+    intended map applied to the input."""
     resolved = resolve_frame(run.state, run.frame)
-    value = fidelity(resolved, apply_affine(source, compiled.intended))
+    value = fidelity(resolved, target)
     return TrialRecord(
         index=index,
         outcomes=dict(run.outcomes),
@@ -130,7 +140,31 @@ def _run_trial(
 ) -> TrialRecord:
     """Measure a prepared register through its whole schedule and score it."""
     run = run_schedule(prepared, compiled, rng=rng, pins=pins)
-    return _score(compiled, run, source, index)
+    return _score(compiled, run, apply_affine(source, compiled.intended), index)
+
+
+class _PlannedProgram:
+    """A compiled program on one input, prepared and planned once.
+
+    ``prepare_cluster_state`` runs once, without an rng: its covariance
+    is every trial's and, without link noise, so is its mean.  With it,
+    each trial replays the links and kicks from the unlinked mean.
+    """
+
+    def __init__(self, compiled: CompiledProgram, source: GaussianState, link_noise=(0.0, 0.0)):
+        prepared = prepare_cluster_state(compiled, source, link_noise)
+        self.compiled, self.link_noise = compiled, link_noise
+        self.plan = plan_schedule(prepared.cov, compiled)
+        self.target = apply_affine(source, compiled.intended)
+        self.mean, self.links = prepared.mean, []
+        if any(link_noise):
+            self.mean, _ = _unlinked(compiled.graph, source, compiled.head_nodes)
+            self.links = _links(compiled.graph)
+
+    def trial(self, rng, pins: dict[int, float] | None = None, index: int = 0) -> TrialRecord:
+        mean = _relink_mean(self.mean, self.links, self.link_noise, rng)
+        run = run_plan(self.plan, self.compiled, mean, rng, pins)
+        return _score(self.compiled, run, self.target, index)
 
 
 def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
@@ -140,15 +174,11 @@ def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
         raise ConfigError("running a program needs a program in the config")
     compiled = compile_program(config.program, config.omega, config.omega_overrides)
     source = _input_state(config, config.program.n_modes)
-    link_noise = config.budget.link_variances()
-    records = []
-    for trial in indices:
-        rng = trial_rng(config.seed, trial)
-        prepared = prepare_cluster_state(compiled, source, link_noise, rng)
-        records.append(
-            _run_trial(compiled, prepared, source, rng, config.pins or None, trial)
-        )
-    return records
+    planned = _PlannedProgram(compiled, source, config.budget.link_variances())
+    pins = config.pins or None
+    return [
+        planned.trial(trial_rng(config.seed, trial), pins, trial) for trial in indices
+    ]
 
 
 def run_program(config: ExperimentConfig) -> list[TrialRecord]:
@@ -156,7 +186,8 @@ def run_program(config: ExperimentConfig) -> list[TrialRecord]:
 
     Each record holds the sampled (or pinned) outcomes and the
     frame-resolved output compared against the program's intended
-    action on the input.
+    action on the input.  The register is prepared and its schedule
+    planned once per call; each trial runs only the mean walk.
     """
     return _program_trials(config, range(config.trials))
 
@@ -231,23 +262,32 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     source = _input_state(config, 1)
     link_noise = config.budget.link_variances()
 
+    # strategy A: full chain, measure every node before the output
+    baseline = _PlannedProgram(chain, source, link_noise)
+    # strategy B: detached mini-cluster, pre-measure, select, attach.  The
+    # inner readouts are planned now, the attached ones at the first
+    # accepted trial; each trial replays means from the unlinked zeros.
+    mini = _linked_register(mini_graph, link_noise=link_noise)
+    mini_links, unlinked = _links(mini_graph), np.zeros_like(mini.mean)
+    inner = SchedulePlan(
+        mini.cov, inner_entries, {node: i for i, node in enumerate(mini_graph.node_ids)}
+    )
+    k = len(inner.mode_of)
+    ends = (0, inner.mode_of[first] + 1)  # the attach link, source mode first
+    attach_link = [(controlled_phase(1.0), _embed_index(k + 1, 2, ends))]
+    attached: SchedulePlan | None = None
+
     baseline_records: list[TrialRecord] = []
     mini_records: list[TrialRecord] = []
     inner_magnitudes = np.zeros(config.trials)
 
     for trial in range(config.trials):
-        # strategy A: full chain, measure every node before the output
         rng = trial_rng(config.seed, trial, arm=0)
-        prepared = prepare_cluster_state(chain, source, link_noise, rng)
-        record = _run_trial(chain, prepared, source, rng, index=trial)
-        baseline_records.append(_shifted(record))
+        baseline_records.append(_shifted(baseline.trial(rng, index=trial)))
 
-        # strategy B: detached mini-cluster, pre-measure, select, attach
         rng = trial_rng(config.seed, trial, arm=1)
-        state = _linked_register(mini_graph, link_noise=link_noise, rng=rng)
-        mode_of = {node: i for i, node in enumerate(mini_graph.node_ids)}
         outcomes: dict[int, float] = {}
-        state, mode_of = measure_entries(state, mode_of, inner_entries, outcomes, rng)
+        mean = inner.walk(_relink_mean(unlinked, mini_links, link_noise, rng), outcomes, rng)
         magnitude = max(abs(s) for s in outcomes.values())
         inner_magnitudes[trial] = magnitude
         if magnitude > config.window:
@@ -255,13 +295,18 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
                 _shifted(TrialRecord(trial, outcomes, False, None, None, None))
             )
             continue
-        state = attach(source, state, [(0, mode_of[first])])
-        mode_of = {node: idx + 1 for node, idx in mode_of.items()}
-        mode_of[head] = 0
-        _add_link_noise(state.mean, state.cov, (0, mode_of[first]), link_noise, rng)
-        state, _ = measure_entries(state, mode_of, attach_entries, outcomes, rng)
-        run = RunResult(outcomes, state, byproduct_frame(chain, outcomes), ())
-        mini_records.append(_shifted(_score(chain, run, source, trial)))
+        if attached is None:
+            register = GaussianState(mean, inner.cov, validate=False)  # inner's survivors
+            joined = attach(source, register, [(0, ends[1] - 1)])
+            _add_link_noise(joined.mean, joined.cov, ends, link_noise)
+            mode_of = {node: m + 1 for node, m in inner.mode_of.items()}
+            attached = SchedulePlan(joined.cov, attach_entries, {head: 0, **mode_of})
+        # the mean of ``attach(source, register, ...)``, then the link's kicks
+        mean = np.concatenate([source.mean[:1], mean[:k], source.mean[1:], mean[k:]])
+        mean = attached.walk(_relink_mean(mean, attach_link, link_noise, rng), outcomes, rng)
+        state = GaussianState(mean, attached.cov, validate=False)
+        run = RunResult(outcomes, state, byproduct_frame(chain, outcomes))
+        mini_records.append(_shifted(_score(chain, run, baseline.target, trial)))
 
     curve_grid = np.linspace(0.05, 5.0, 25)
     curve = [
@@ -325,16 +370,15 @@ def fidelity_vs_squeezing(
         compiled = compile_program(program, width)
         entries = compiled.schedule.entries
         pins = None if sample else {entry.node: 0.0 for entry in entries}
+        # a fixed input is prepared and planned once, a drawn one per trial
+        planned = None
+        if not callable(input_states):
+            source = vacuum(program.n_modes) if input_states is None else input_states
+            planned = _PlannedProgram(compiled, source)
         values = []
         for _ in range(trials):
-            if input_states is None:
-                source = vacuum(program.n_modes)
-            elif callable(input_states):
-                source = input_states(rng)
-            else:
-                source = input_states
-            prepared = prepare_cluster_state(compiled, source)
-            values.append(_run_trial(compiled, prepared, source, rng, pins).fidelity)
+            trial = planned or _PlannedProgram(compiled, input_states(rng))
+            values.append(trial.trial(rng, pins).fidelity)
         summary = _summarize(values)
         points.append(
             SweepPoint(

@@ -44,14 +44,6 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
 
 
-def create(dim: int) -> np.ndarray:
-    return destroy(dim).conj().T
-
-
-def number_operator(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim)).astype(complex)
-
-
 def position_operator(dim: int) -> np.ndarray:
     a = destroy(dim)
     return (a + a.conj().T) / np.sqrt(2.0)
@@ -259,12 +251,6 @@ def fock_shift_q(state: FockState, mode: int, s: float, enforce: bool = True) ->
     """Position displacement exp(-i s p)."""
     p = momentum_operator(state.dims[mode])
     return fock_apply(state, p, scale=-s, modes=(mode,), enforce=enforce)
-
-
-def fock_shift_p(state: FockState, mode: int, t: float, enforce: bool = True) -> FockState:
-    """Momentum displacement exp(i t q)."""
-    q = position_operator(state.dims[mode])
-    return fock_apply(state, q, scale=t, modes=(mode,), enforce=enforce)
 
 
 def fock_position_envelope(

@@ -138,6 +138,17 @@ def coherent(mean_q: float, mean_p: float) -> GaussianState:
     return GaussianState([mean_q, mean_p], VACUUM_VARIANCE * np.eye(2), validate=False)
 
 
+def _apply_local_mean(mean: np.ndarray, op: SymplecticAffine, index: list[int]) -> None:
+    """Mean half of :func:`_apply_local`: ``mean[index] <- S mean[index] + d``."""
+    mean[index] = op.matrix @ mean[index] + op.shift
+
+
+def _apply_local_cov(cov: np.ndarray, op: SymplecticAffine, index: list[int]) -> None:
+    """Covariance half of :func:`_apply_local`: rows, then columns."""
+    cov[index, :] = op.matrix @ cov[index, :]
+    cov[:, index] = cov[:, index] @ op.matrix.T
+
+
 def _apply_local(
     mean: np.ndarray, cov: np.ndarray, op: SymplecticAffine, index: list[int]
 ) -> None:
@@ -147,9 +158,28 @@ def _apply_local(
     :func:`~cvcluster.symplectic._embed_index`); every other row and
     column is left untouched, so a k-mode map costs O(k n) on n modes.
     """
-    mean[index] = op.matrix @ mean[index] + op.shift
-    cov[index, :] = op.matrix @ cov[index, :]
-    cov[:, index] = cov[:, index] @ op.matrix.T
+    _apply_local_mean(mean, op, index)
+    _apply_local_cov(cov, op, index)
+
+
+def _add_link_variance(cov: np.ndarray, modes, link_noise: tuple[float, float]) -> None:
+    """Covariance half of :func:`_add_link_noise`."""
+    vq, vp = link_noise
+    n = cov.shape[0] // 2
+    for mode in modes:
+        cov[mode, mode] += vq
+        cov[n + mode, n + mode] += vp
+
+
+def _add_link_kicks(mean: np.ndarray, modes, link_noise: tuple[float, float], rng) -> None:
+    """Mean half of :func:`_add_link_noise` (nothing for zero noise)."""
+    vq, vp = link_noise
+    if vq == 0.0 and vp == 0.0:
+        return
+    n = mean.shape[0] // 2
+    for mode in modes:
+        mean[mode] += rng.normal(0.0, np.sqrt(vq)) if vq else 0.0
+        mean[n + mode] += rng.normal(0.0, np.sqrt(vp)) if vp else 0.0
 
 
 def _add_link_noise(
@@ -162,16 +192,9 @@ def _add_link_noise(
     """Add one link's noise ``(vq, vp)`` in place to each listed mode's
     position and momentum variances, with matching mean kicks drawn from
     ``rng`` mode by mode (none without one; none at all for zero noise)."""
-    vq, vp = link_noise
-    if vq == 0.0 and vp == 0.0:
-        return
-    n = mean.shape[0] // 2
-    for mode in modes:
-        cov[mode, mode] += vq
-        cov[n + mode, n + mode] += vp
-        if rng is not None:
-            mean[mode] += rng.normal(0.0, np.sqrt(vq)) if vq else 0.0
-            mean[n + mode] += rng.normal(0.0, np.sqrt(vp)) if vp else 0.0
+    _add_link_variance(cov, modes, link_noise)
+    if rng is not None:
+        _add_link_kicks(mean, modes, link_noise, rng)
 
 
 def apply_affine(
@@ -263,28 +286,41 @@ def homodyne(
     work = state
     if theta != 0.0:
         work = apply_affine(state, rotation(-theta), modes=(mode,))
-    qi, pi = mode, n + mode
-    mu = work.mean[qi]
-    var = work.cov[qi, qi]
-    if var < CONDITIONING_FLOOR:
-        raise MeasurementError(
-            f"marginal variance {var:.3e} is below the conditioning floor"
-        )
+    keep, cross, var, cov_out = _condition_cov(work.cov, mode)
+    mu = work.mean[mode]
     if outcome is None:
         if rng is None:
             raise MeasurementError("sampling a homodyne outcome requires rng")
         outcome = float(rng.normal(mu, np.sqrt(var)))
     else:
         outcome = float(outcome)
-    keep = [i for i in range(2 * n) if i not in (qi, pi)]
-    cross = work.cov[keep, qi]
-    mean_out = work.mean[keep] + cross * ((outcome - mu) / var)
-    cov_out = work.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
+    mean_out = _condition_mean(work.mean, keep, cross, mu, var, outcome)
     survivors = [m for m in range(n) if m != mode]
     relabel = {old: new for new, old in enumerate(survivors)}
     return HomodyneResult(
         outcome, GaussianState(mean_out, cov_out, validate=False), relabel
     )
+
+
+def _condition_cov(cov: np.ndarray, mode: int):
+    """Covariance half of a position readout of ``mode``, which does not
+    depend on the outcome: the kept quadratures, their cross column with
+    the measured one, its variance (checked against
+    ``CONDITIONING_FLOOR``), and the conditioned covariance."""
+    n = cov.shape[0] // 2
+    var = cov[mode, mode]
+    if var < CONDITIONING_FLOOR:
+        raise MeasurementError(
+            f"marginal variance {var:.3e} is below the conditioning floor"
+        )
+    keep = np.array([i for i in range(2 * n) if i not in (mode, n + mode)], dtype=np.intp)
+    cross = cov[keep, mode]
+    return keep, cross, var, cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
+
+
+def _condition_mean(mean: np.ndarray, keep, cross, mu: float, var: float, outcome: float):
+    """Mean half of a position readout whose marginal mean is ``mu``."""
+    return mean[keep] + cross * ((outcome - mu) / var)
 
 
 def _overlap(a: GaussianState, b: GaussianState) -> float:

@@ -31,14 +31,17 @@ from .cluster import ClusterGraph, _linked_register
 from .exceptions import (
     FrameError,
     InvalidOperationError,
+    MeasurementError,
     ScheduleError,
 )
 from .gaussian import GaussianState, apply_affine, homodyne, squeezed_vacuum_p, vacuum
+from .gaussian import _apply_local_cov, _apply_local_mean, _condition_cov, _condition_mean
 from .symplectic import (
     SymplecticAffine,
     controlled_phase,
     fourier,
     quadratic_phase,
+    rotation,
     shift_p,
     shift_q,
 )
@@ -242,7 +245,8 @@ class MeasurementSchedule:
 @dataclass(frozen=True)
 class CompiledProgram:
     """Cluster graph plus measurement schedule realizing a program, with
-    the program's intended map."""
+    the program's intended map, its inverse, and each instruction's
+    intended map embedded in the wires (``instruction_maps[i]``)."""
 
     program: GateProgram
     graph: ClusterGraph
@@ -250,6 +254,8 @@ class CompiledProgram:
     tail_nodes: tuple[int, ...]
     schedule: MeasurementSchedule
     intended: SymplecticAffine
+    intended_inverse: SymplecticAffine
+    instruction_maps: tuple[SymplecticAffine, ...]
 
 
 def compile_program(
@@ -265,7 +271,8 @@ def compile_program(
     nodes whose width is ``omega`` unless overridden per instruction
     index via ``omega_overrides``.  Position displacements produce no
     measurement; they are folded into frame bookkeeping.  The program's
-    intended map is computed once here and read by every trial.
+    intended map, its inverse and the embedded instruction maps are
+    computed once here and read by every trial's frame.
     """
     overrides = omega_overrides or {}
     nodes: list[tuple[int, float]] = []
@@ -332,8 +339,10 @@ def compile_program(
 
     graph = ClusterGraph(nodes=nodes, edges=edges)
     schedule = MeasurementSchedule(steps, program.n_modes)
+    intended = intended_affine(program)
+    maps = tuple(instruction_affine(op, program.n_modes) for op in program.ops)
     return CompiledProgram(
-        program, graph, heads, tuple(tails), schedule, intended_affine(program)
+        program, graph, heads, tuple(tails), schedule, intended, intended.inverse(), maps
     )
 
 
@@ -406,15 +415,16 @@ class TeleportResult:
     frame_update: SymplecticAffine
 
 
-# shared by every byproduct, so it is read-only
-_FOURIER_MATRIX = fourier().matrix
-_FOURIER_MATRIX.flags.writeable = False
-
-
-def _byproduct(outcome: float) -> SymplecticAffine:
-    """Teleport byproduct of one recorded outcome: the quarter rotation
-    followed by a position shift, ``shift_q(outcome) ∘ F``."""
-    return SymplecticAffine._derived(_FOURIER_MATRIX, np.array([outcome, 0.0]))
+def _byproduct(outcome: float, n_wires: int = 1, wire: int = 0) -> SymplecticAffine:
+    """Teleport byproduct of one recorded outcome on ``wire``: the quarter
+    rotation followed by a position shift, ``shift_q(outcome) ∘ F``,
+    written entry by entry into the identity on ``n_wires`` wires."""
+    q, p = wire, n_wires + wire
+    matrix = np.eye(2 * n_wires)
+    matrix[q, q], matrix[q, p], matrix[p, q], matrix[p, p] = 0.0, -1.0, 1.0, 0.0
+    shift = np.zeros(2 * n_wires)
+    shift[q] = outcome
+    return SymplecticAffine._derived(matrix, shift)
 
 
 def _insert_last_at(state: GaussianState, position: int) -> GaussianState:
@@ -498,9 +508,9 @@ def cz_step(
     order.insert(low, remaining - 2 if low == mode_a else remaining - 1)
     order.insert(high, remaining - 1 if high == mode_b else remaining - 2)
     out_state = worked.permute_modes(order)
-    update_a = _byproduct(s1).embed(2, [0])
-    update_b = _byproduct(s2).embed(2, [1])
-    return CzStepResult((s1, s2), out_state, update_b.compose(update_a))
+    return CzStepResult(
+        (s1, s2), out_state, _byproduct(s2, 2, 1).compose(_byproduct(s1, 2, 0))
+    )
 
 
 @dataclass
@@ -510,23 +520,23 @@ class RunResult:
     outcomes: dict[int, float]
     state: GaussianState
     frame: ByproductFrame
-    order: tuple[int, ...]
 
 
 def step_physical_affine(
-    step: StepPlan, outcomes: dict[int, float], n_wires: int
+    compiled: CompiledProgram, step: StepPlan, outcomes: dict[int, float]
 ) -> SymplecticAffine:
     """Phase-space map this step applied to the logical register."""
+    n_wires = compiled.program.n_modes
     if step.kind == "classical":
         return SymplecticAffine.identity(n_wires)
     byproducts = [
-        _byproduct(outcomes[node]).embed(n_wires, [wire])
+        _byproduct(outcomes[node], n_wires, wire)
         for wire, node in zip(step.wires, step.measured_nodes)
     ]
     if step.instruction.kind == "f":
         # the quarter rotation is the teleport byproduct itself
         return byproducts[0]
-    total = instruction_affine(step.instruction, n_wires)
+    total = compiled.instruction_maps[step.index]
     for byproduct in byproducts:
         total = byproduct.compose(total)
     return total
@@ -537,38 +547,96 @@ def byproduct_frame(
 ) -> ByproductFrame:
     """Frame of a run, assembled in wire order from its recorded outcomes,
     so it does not depend on the order the measurements ran in."""
-    n_wires = compiled.program.n_modes
-    physical = SymplecticAffine.identity(n_wires)
+    physical = SymplecticAffine.identity(compiled.program.n_modes)
     for step in compiled.schedule.steps:
-        physical = step_physical_affine(step, outcomes, n_wires).compose(physical)
-    return ByproductFrame(physical.compose(compiled.intended.inverse()))
+        physical = step_physical_affine(compiled, step, outcomes).compose(physical)
+    return ByproductFrame(physical.compose(compiled.intended_inverse))
 
 
-def measure_entries(
-    state: GaussianState,
-    mode_of: dict[int, int],
-    entries,
-    outcomes: dict[int, float],
-    rng: np.random.Generator | None = None,
-    pins: dict[int, float] | None = None,
-) -> tuple[GaussianState, dict[int, int]]:
-    """Measure each entry's node (mode ``mode_of[node]``, a map this call
-    consumes) in its basis, in order, recording into ``outcomes``; pinned
-    nodes condition on ``pins``, the rest sample from ``rng``.  Returns
-    the surviving register and its node-to-mode map."""
-    pins = pins or {}
-    for entry in entries:
-        pinned = pins.get(entry.node)
-        raw = None if pinned is None else entry.basis.raw(pinned)
-        result = homodyne(
-            state, mode_of.pop(entry.node), entry.basis.engine_angle, raw, rng
+class SchedulePlan:
+    """Homodyne readouts planned once on a register's covariance.
+
+    On a Gaussian register the covariance after each readout does not
+    depend on the outcomes; only the mean moves, affinely.  Building a
+    plan walks ``cov`` once through ``entries`` (the node of each entry
+    sits at mode ``mode_of[node]``), checking ``CONDITIONING_FLOOR`` and
+    keeping each readout's rotation, kept quadratures, cross column and
+    conditional variance.  :meth:`walk` replays only the mean half of
+    each readout, with the arithmetic and the normal draws of
+    :func:`~cvcluster.gaussian.homodyne`, so a trial costs O(n) per
+    readout and gives the bits of measuring step by step.
+
+    The survivors are then ``outputs`` in that order (all of them, in
+    register order, by default), with covariance ``cov`` and node-to-mode
+    map ``mode_of``.
+    """
+
+    def __init__(self, cov: np.ndarray, entries, mode_of: dict[int, int], outputs=None):
+        cov, mode_of, self.readouts = np.array(cov, dtype=float), dict(mode_of), []
+        for entry in entries:
+            mode = mode_of.pop(entry.node)
+            turn, index = None, [mode, cov.shape[0] // 2 + mode]
+            if entry.basis.engine_angle != 0.0:
+                turn = rotation(-entry.basis.engine_angle)
+                _apply_local_cov(cov, turn, index)
+            keep, cross, var, cov = _condition_cov(cov, mode)
+            self.readouts.append((entry, turn, index, keep, cross, var, np.sqrt(var)))
+            mode_of = {node: m - (m > mode) for node, m in mode_of.items()}
+        self.output = None
+        if outputs is not None:
+            if len(mode_of) != len(outputs):
+                raise ScheduleError("schedule left a dangling unmeasured node")
+            wires = [mode_of[node] for node in outputs]
+            self.output = wires + [len(wires) + m for m in wires]
+            cov = cov[np.ix_(self.output, self.output)]
+            mode_of = {node: i for i, node in enumerate(outputs)}
+        self.cov, self.mode_of = cov, mode_of
+
+    def walk(self, mean: np.ndarray, outcomes: dict[int, float], rng=None, pins=None):
+        """Mean after every readout, from ``mean`` (left unmodified),
+        recording each outcome into ``outcomes``; pinned nodes condition
+        on ``pins`` and draw nothing, the rest sample from ``rng``."""
+        pins = pins or {}
+        mean = np.array(mean, dtype=float)
+        for entry, turn, index, keep, cross, var, scale in self.readouts:
+            if turn is not None:
+                _apply_local_mean(mean, turn, index)
+            mu = mean[index[0]]
+            pinned = pins.get(entry.node)
+            if pinned is not None:
+                raw = float(entry.basis.raw(pinned))
+            elif rng is None:
+                raise MeasurementError("sampling a homodyne outcome requires rng")
+            else:
+                raw = float(rng.normal(mu, scale))
+            mean = _condition_mean(mean, keep, cross, mu, var, raw)
+            outcomes[entry.node] = entry.basis.record(raw) if pinned is None else pinned
+        return mean if self.output is None else mean[self.output]
+
+
+def plan_schedule(cov: np.ndarray, compiled: CompiledProgram, order=None) -> SchedulePlan:
+    """Plan a compiled program's readouts in ``order`` (canonical by
+    default) on a prepared register's covariance; the outputs are the
+    wire tails in wire order."""
+    schedule = compiled.schedule
+    order = (
+        schedule.canonical_order() if order is None else schedule.validate_order(order)
+    )
+    nodes = compiled.graph.node_ids
+    if cov.shape[0] != 2 * len(nodes):
+        raise ScheduleError(
+            f"register has {cov.shape[0] // 2} modes, graph has {len(nodes)} nodes"
         )
-        outcomes[entry.node] = (
-            pinned if pinned is not None else entry.basis.record(result.outcome)
-        )
-        state = result.state
-        mode_of = {node: result.relabel[idx] for node, idx in mode_of.items()}
-    return state, mode_of
+    mode_of = {node: i for i, node in enumerate(nodes)}
+    entries = [schedule.entries[i] for i in order]
+    return SchedulePlan(cov, entries, mode_of, compiled.tail_nodes)
+
+
+def run_plan(plan: SchedulePlan, compiled: CompiledProgram, mean, rng=None, pins=None):
+    """One trial of a planned program from a prepared register's mean."""
+    outcomes: dict[int, float] = {}
+    state = GaussianState(plan.walk(mean, outcomes, rng, pins), plan.cov, validate=False)
+    return RunResult(outcomes, state, byproduct_frame(compiled, outcomes))
 
 
 def run_schedule(
@@ -578,28 +646,13 @@ def run_schedule(
     rng: np.random.Generator | None = None,
     pins: dict[int, float] | None = None,
 ) -> RunResult:
-    """Execute every scheduled measurement on a prepared register with
-    :func:`measure_entries`.
+    """Execute every scheduled measurement on a prepared register.
 
-    ``order`` permutes measurement execution; the byproduct frame comes
-    from :func:`byproduct_frame`, so it does not depend on the order.
+    Plans the readouts on the register's covariance (:func:`plan_schedule`)
+    and runs the plan once on its mean (:func:`run_plan`); trial loops
+    keep one plan for every trial instead.  ``order`` permutes
+    measurement execution; the byproduct frame comes from
+    :func:`byproduct_frame`, so it does not depend on the order.
     """
-    schedule = compiled.schedule
-    order = (
-        schedule.canonical_order() if order is None else schedule.validate_order(order)
-    )
-    n_wires = compiled.program.n_modes
-    mode_of = {node_id: i for i, (node_id, _) in enumerate(compiled.graph.nodes)}
-    if state.n_modes != len(mode_of):
-        raise ScheduleError(
-            f"register has {state.n_modes} modes, graph has {len(mode_of)} nodes"
-        )
-    outcomes: dict[int, float] = {}
-    working, mode_of = measure_entries(
-        state, mode_of, (schedule.entries[i] for i in order), outcomes, rng, pins
-    )
-    if len(mode_of) != n_wires:
-        raise ScheduleError("schedule left a dangling unmeasured node")
-    wire_order = [mode_of[tail] for tail in compiled.tail_nodes]
-    working = working.permute_modes(wire_order)
-    return RunResult(outcomes, working, byproduct_frame(compiled, outcomes), order)
+    plan = plan_schedule(state.cov, compiled, order)
+    return run_plan(plan, compiled, state.mean, rng, pins)

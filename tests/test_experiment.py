@@ -2,6 +2,7 @@
 tomography summaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from cvcluster.exceptions import ConfigError, InvalidOperationError
 from cvcluster.experiment import (
     ExperimentConfig,
     TrialRecord,
+    _input_state,
     _run_trial,
+    _summarize,
     fidelity_vs_squeezing,
     run_postselection_experiment,
     run_program,
@@ -347,3 +350,83 @@ def test_tomography_of_identical_states():
     step = summary.q_values[1] - summary.q_values[0]
     assert summary.wigner.sum() * step * step == pytest.approx(1.0, abs=1e-3)
     assert summary.wigner.max() == pytest.approx(1.0 / np.pi, abs=1e-6)
+
+
+def _per_trial_records(config: ExperimentConfig) -> list[TrialRecord]:
+    """Each trial prepared and measured from scratch on its own substream,
+    with nothing shared between trials."""
+    compiled = compile_program(config.program, config.omega, config.omega_overrides)
+    source = _input_state(config, config.program.n_modes)
+    records = []
+    for trial in range(config.trials):
+        rng = trial_rng(config.seed, trial)
+        register = prepare_cluster_state(
+            compiled, source, config.budget.link_variances(), rng
+        )
+        records.append(
+            _run_trial(compiled, register, source, rng, config.pins or None, trial)
+        )
+    return records
+
+
+_TWO_WIRES = GateProgram(
+    2,
+    (
+        Instruction("f", (0,)),
+        Instruction("p", (1,), (0.5,)),
+        Instruction("cz", (0, 1)),
+        Instruction("x", (1,), (0.3,)),
+        Instruction("z", (0,), (0.2,)),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"pins": {1: 0.4, 4: -0.25}},
+        {"omega_overrides": {0: 0.5, 2: 0.05}},
+        {
+            "program": GateProgram(1, (Instruction("p", (0,), (0.7,)),) * 3),
+            "input_mean": (0.6, -1.2),
+        },
+        {"budget": NoiseBudget(input_excess_variance=0.2)},
+        {"budget": NoiseBudget(per_link_variance=0.01)},
+    ],
+    ids=["noiseless", "pins", "omega_overrides", "input_mean", "input_excess", "link_noise"],
+)
+def test_run_program_equals_preparing_every_trial_from_scratch(changes):
+    config = replace(
+        ExperimentConfig(program=_TWO_WIRES, omega=0.2, trials=4, seed=41), **changes
+    )
+    assert run_program(config) == _per_trial_records(config)
+
+
+@pytest.mark.parametrize("sample", [True, False])
+@pytest.mark.parametrize("drawn", [True, False], ids=["callable_input", "fixed_input"])
+def test_sweep_equals_preparing_every_trial_from_scratch(sample, drawn):
+    def draw(rng):
+        return coherent(*(rng.normal(size=2) if rng is not None else (0.3, -0.1)))
+
+    inputs = draw if drawn else coherent(0.3, -0.1)
+    program = GateProgram(1, (Instruction("p", (0,), (0.4,)), Instruction("f", (0,))))
+    omegas = [0.5, 0.2]
+    points = fidelity_vs_squeezing(
+        program, omegas, inputs, trials=5, sample=sample, rng=np.random.default_rng(8)
+    )
+    rng = np.random.default_rng(8)
+    for width, point in zip(omegas, points):
+        compiled = compile_program(program, width)
+        pins = None if sample else {entry.node: 0.0 for entry in compiled.schedule.entries}
+        values = []
+        for _ in range(5):
+            source = inputs(rng) if drawn else inputs
+            register = prepare_cluster_state(compiled, source)
+            values.append(_run_trial(compiled, register, source, rng, pins).fidelity)
+        expected = _summarize(values)
+        assert (point.mean_fidelity, point.stderr, point.trials) == (
+            expected.mean_fidelity,
+            expected.stderr,
+            expected.trials,
+        )

@@ -5,14 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvcluster.exceptions import (
     FrameError,
     InvalidOperationError,
+    MeasurementError,
     ScheduleError,
 )
 from cvcluster.cluster import nullifier_variances
-from cvcluster.gaussian import GaussianState, apply_affine, coherent, fidelity, vacuum
+from cvcluster.gaussian import (
+    CONDITIONING_FLOOR,
+    GaussianState,
+    apply_affine,
+    coherent,
+    fidelity,
+    vacuum,
+)
 from cvcluster.mbqc import (
     Basis,
     ByproductFrame,
@@ -22,7 +32,9 @@ from cvcluster.mbqc import (
     basis_for_diagonal,
     compile_program,
     cz_step,
+    instruction_affine,
     intended_affine,
+    plan_schedule,
     prepare_cluster_state,
     resolve_frame,
     run_schedule,
@@ -33,11 +45,12 @@ from cvcluster.symplectic import (
     controlled_phase,
     fourier,
     quadratic_phase,
+    rotation,
     shift_p,
     shift_q,
 )
 
-from conftest import assert_state_allclose, fourier_wire
+from conftest import assert_state_allclose, fourier_wire, mixed_states
 
 
 def test_instruction_validation():
@@ -364,3 +377,116 @@ def test_long_wire_keeps_the_nullifier_law_and_matches_stepwise_teleportation():
     np.testing.assert_allclose(run.state.cov, stepwise.cov, atol=1e-10 * scale)
     resolved = resolve_frame(run.state, run.frame)
     GaussianState(resolved.mean, resolved.cov)  # obeys the uncertainty bound
+
+
+# The step-by-step loop that ran every schedule before readouts were planned
+# on the covariance: one dense conditioning per readout on the shrinking
+# register, and a frame of embedded byproducts.  Kept here as the reference
+# that the planned path must match bit for bit.
+
+
+def _stepwise_homodyne(state, mode, theta, outcome, rng):
+    n = state.n_modes
+    work = state
+    if theta != 0.0:
+        work = apply_affine(state, rotation(-theta), modes=(mode,))
+    qi, pi = mode, n + mode
+    mu = work.mean[qi]
+    var = work.cov[qi, qi]
+    if var < CONDITIONING_FLOOR:
+        raise MeasurementError("below the conditioning floor")
+    if outcome is None:
+        outcome = float(rng.normal(mu, np.sqrt(var)))
+    else:
+        outcome = float(outcome)
+    keep = [i for i in range(2 * n) if i not in (qi, pi)]
+    cross = work.cov[keep, qi]
+    mean_out = work.mean[keep] + cross * ((outcome - mu) / var)
+    cov_out = work.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
+    relabel = {old: new for new, old in enumerate(m for m in range(n) if m != mode)}
+    return outcome, GaussianState(mean_out, cov_out, validate=False), relabel
+
+
+def _stepwise_run(state, compiled, order, rng, pins):
+    mode_of = {node: i for i, node in enumerate(compiled.graph.node_ids)}
+    outcomes = {}
+    for entry in (compiled.schedule.entries[i] for i in order):
+        pinned = pins.get(entry.node)
+        raw = None if pinned is None else entry.basis.raw(pinned)
+        outcome, state, relabel = _stepwise_homodyne(
+            state, mode_of.pop(entry.node), entry.basis.engine_angle, raw, rng
+        )
+        outcomes[entry.node] = pinned if pinned is not None else entry.basis.record(outcome)
+        mode_of = {node: relabel[idx] for node, idx in mode_of.items()}
+    state = state.permute_modes([mode_of[tail] for tail in compiled.tail_nodes])
+    n = compiled.program.n_modes
+    physical = SymplecticAffine.identity(n)
+    for step in compiled.schedule.steps:
+        if step.kind == "classical":
+            total = SymplecticAffine.identity(n)
+        else:
+            byproducts = [
+                SymplecticAffine._derived(fourier().matrix, np.array([outcomes[node], 0.0]))
+                .embed(n, [wire])
+                for wire, node in zip(step.wires, step.measured_nodes)
+            ]
+            if step.instruction.kind == "f":
+                total = byproducts[0]
+            else:
+                total = instruction_affine(step.instruction, n)
+                for byproduct in byproducts:
+                    total = byproduct.compose(total)
+        physical = total.compose(physical)
+    return outcomes, state, physical.compose(intended_affine(compiled.program).inverse())
+
+
+@st.composite
+def _planned_runs(draw):
+    n = draw(st.integers(1, 2), label="wires")
+    kinds = ["x", "z", "f", "p"] + (["cz"] if n == 2 else [])
+    ops = []
+    for _ in range(draw(st.integers(1, 5), label="ops")):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cz":
+            params = draw(st.sampled_from([(), (0.7,), (-1.1,)]))
+            ops.append(Instruction("cz", (0, 1), params))
+        else:
+            target = draw(st.integers(0, n - 1))
+            params = () if kind == "f" else (draw(st.floats(-1.5, 1.5)),)
+            ops.append(Instruction(kind, (target,), params))
+    compiled = compile_program(
+        GateProgram(n, tuple(ops)), draw(st.floats(0.05, 1.0), label="omega")
+    )
+    source = draw(st.one_of(st.just(vacuum(n)), mixed_states(n)), label="input")
+    entries = compiled.schedule.entries
+    order = draw(st.permutations(range(len(entries))), label="order")
+    nodes = [entry.node for entry in entries]
+    pinned = draw(st.sets(st.sampled_from(nodes)) if nodes else st.just(set()))
+    pins = {node: draw(st.floats(-2.0, 2.0)) for node in sorted(pinned)}
+    return compiled, prepare_cluster_state(compiled, source), order, pins
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planned_runs(), st.integers(0, 2**32 - 1))
+def test_planned_schedule_matches_the_stepwise_loop_bit_for_bit(run_input, seed):
+    compiled, register, order, pins = run_input
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    run = run_schedule(register, compiled, order=order, rng=rng, pins=pins)
+    outcomes, state, frame = _stepwise_run(register, compiled, order, reference_rng, pins)
+    assert run.outcomes == outcomes
+    assert np.array_equal(run.state.mean, state.mean)
+    assert np.array_equal(run.state.cov, state.cov)
+    assert np.array_equal(run.frame.affine.matrix, frame.matrix)
+    assert np.array_equal(run.frame.affine.shift, frame.shift)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_planning_a_readout_below_the_conditioning_floor_raises():
+    compiled = compile_program(fourier_wire(1))
+    # node 0's momentum, which the plain readout measures, is almost sharp
+    cov = np.diag([1.0, 50.0, 1e-14, 0.005])
+    register = GaussianState(np.zeros(4), cov, validate=False)
+    with pytest.raises(MeasurementError, match="conditioning floor"):
+        run_schedule(register, compiled, pins={0: 0.0})
+    with pytest.raises(MeasurementError, match="conditioning floor"):
+        plan_schedule(cov, compiled)
