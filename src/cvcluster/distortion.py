@@ -25,7 +25,6 @@ from .mbqc import (
     CompiledProgram,
     GateProgram,
     compile_program,
-    step_physical_affine,
 )
 from .symplectic import SymplecticAffine
 
@@ -275,21 +274,23 @@ def decompose_distortion(
     compiled = compile_program(program, omega, omega_overrides)
     recorded = _outcome_map(compiled, outcomes)
     n = program.n_modes
-    prefix = SymplecticAffine.identity(n)
+    # the run prefix after each step: its matrix is stored at compile
+    # time, its shift chains the steps' shifts as composing their maps does
+    matrix, shift = np.eye(2 * n), np.zeros(2 * n)
     terms: list[LinearFormEnvelope] = []
-    for step in compiled.schedule.steps:
-        prefix = step_physical_affine(compiled, step, recorded).compose(prefix)
+    for step, part in zip(compiled.schedule.steps, compiled.frames):
+        matrix, shift = part.prefix, part.matrix @ shift + part.shift(recorded)
         for wire, width in zip(step.wires, step.omegas):
-            row = prefix.matrix[wire]
+            row = matrix[wire]
             terms.append(
                 LinearFormEnvelope(
                     coeff_q=tuple(row[:n]),
                     coeff_p=tuple(row[n:]),
-                    offset=float(prefix.shift[wire]),
+                    offset=float(shift[wire]),
                     omega=width,
                 )
             )
-    return prefix, AccumulatedDistortion(tuple(terms), n)
+    return SymplecticAffine._derived(matrix, shift), AccumulatedDistortion(tuple(terms), n)
 
 
 def apply_qnd_noise(

@@ -2,16 +2,21 @@
 post-selection protocol, squeezing sweeps, and tomography-style
 summaries.
 
-Every Gaussian trial is scored by one body, :func:`_score`: the
+Every Gaussian trial is scored by one body, :class:`_Scoring`: the
 measured register's frame is resolved and the output is compared with
 the compiled program's intended map.
 
-Computed once per call: the compiled program, the prepared register's
-covariance (link noise adds fixed variance and moves only the mean),
-the schedule plan (:class:`~cvcluster.mbqc.SchedulePlan`) and the
-intended output.  Computed per trial: the links' mean halves and kicks
-(with link noise), the plan's mean walk, the frame and the fidelity,
-in the arithmetic of measuring each trial from scratch, bit for bit.
+Computed once per call: the compiled program with every matrix of its
+byproduct frame, the prepared register's covariance (link noise adds
+fixed variance and moves only the mean), the schedule plan
+(:class:`~cvcluster.mbqc.SchedulePlan`), the intended output, and the
+covariance halves of frame resolution and fidelity (the inverse frame
+matrix, the resolved covariance, the determinants, the pure-or-mixed
+decision and the mixed formula's factor).  Computed per trial: the
+links' mean halves and kicks (with link noise), the plan's mean walk,
+the frame's shift chain, the resolved mean and the fidelity's
+exponential, in the arithmetic of measuring and scoring each trial from
+scratch, bit for bit.
 
 All sampling flows from a master seed through per-trial substreams, so
 any trial can be replayed exactly from its index, and any recorded
@@ -32,9 +37,10 @@ from .exceptions import ConfigError, InvalidOperationError
 from .gaussian import (
     GaussianState,
     _add_link_noise,
+    _fidelity_cov,
+    _fidelity_mean,
     apply_affine,
     coherent,
-    fidelity,
     homodyne,  # noqa: F401 - unused; the benchmark tracer rebinds it here
     vacuum,
     wigner,
@@ -43,15 +49,13 @@ from .mbqc import (
     CompiledProgram,
     GateProgram,
     Instruction,
-    RunResult,
     SchedulePlan,
-    byproduct_frame,
+    _frame_shift,
+    _resolution_cov,
+    _resolution_mean,
     compile_program,
     plan_schedule,
     prepare_cluster_state,
-    resolve_frame,
-    run_plan,
-    run_schedule,
 )
 from .symplectic import _embed_index, controlled_phase
 
@@ -113,21 +117,34 @@ def _input_state(config: ExperimentConfig, n_modes: int) -> GaussianState:
     return apply_input_noise(source, config.budget)
 
 
-def _score(
-    compiled: CompiledProgram, run: RunResult, target: GaussianState, index: int
-) -> TrialRecord:
-    """Resolve a run's frame and compare its output with ``target``, the
-    intended map applied to the input."""
-    resolved = resolve_frame(run.state, run.frame)
-    value = fidelity(resolved, target)
-    return TrialRecord(
-        index=index,
-        outcomes=dict(run.outcomes),
-        accepted=True,
-        mean=resolved.mean.tolist(),
-        cov=resolved.cov.tolist(),
-        fidelity=float(value),
-    )
+class _Scoring:
+    """Scores trials of ``compiled`` whose outputs have covariance ``cov``
+    against ``target``, the intended map applied to the input.
+
+    The covariance halves of frame resolution and fidelity, which read no
+    outcome, are built here once; :meth:`record` replays the mean halves
+    (:func:`~cvcluster.mbqc.byproduct_frame`'s shift chain, the resolved
+    mean and the fidelity's exponential) with the bits of
+    ``fidelity(resolve_frame(output, byproduct_frame(...)), target)``.
+    """
+
+    def __init__(self, compiled: CompiledProgram, cov: np.ndarray, target: GaussianState):
+        self.compiled, self.target_mean = compiled, target.mean
+        self.resolution = _resolution_cov(compiled.frame_matrix, cov)
+        self.fidelity = _fidelity_cov(self.resolution.cov, target.cov)
+
+    def record(self, outcomes: dict[int, float], mean: np.ndarray, index: int) -> TrialRecord:
+        """Resolve the frame of one trial's outcomes on its output ``mean``."""
+        shift = _frame_shift(self.compiled, outcomes)
+        resolved = _resolution_mean(self.resolution, mean, shift)
+        return TrialRecord(
+            index=index,
+            outcomes=dict(outcomes),
+            accepted=True,
+            mean=resolved.tolist(),
+            cov=self.resolution.cov.tolist(),
+            fidelity=_fidelity_mean(self.fidelity, resolved - self.target_mean),
+        )
 
 
 def _run_trial(
@@ -139,8 +156,10 @@ def _run_trial(
     index: int = 0,
 ) -> TrialRecord:
     """Measure a prepared register through its whole schedule and score it."""
-    run = run_schedule(prepared, compiled, rng=rng, pins=pins)
-    return _score(compiled, run, apply_affine(source, compiled.intended), index)
+    plan, outcomes = plan_schedule(prepared.cov, compiled), {}
+    mean = plan.walk(prepared.mean, outcomes, rng, pins)
+    scoring = _Scoring(compiled, plan.cov, apply_affine(source, compiled.intended))
+    return scoring.record(outcomes, mean, index)
 
 
 class _PlannedProgram:
@@ -148,23 +167,25 @@ class _PlannedProgram:
 
     ``prepare_cluster_state`` runs once, without an rng: its covariance
     is every trial's and, without link noise, so is its mean.  With it,
-    each trial replays the links and kicks from the unlinked mean.
+    each trial replays the links and kicks from the unlinked mean.  The
+    plan's output covariance is scored once (:class:`_Scoring`).
     """
 
     def __init__(self, compiled: CompiledProgram, source: GaussianState, link_noise=(0.0, 0.0)):
         prepared = prepare_cluster_state(compiled, source, link_noise)
-        self.compiled, self.link_noise = compiled, link_noise
+        self.link_noise = link_noise
         self.plan = plan_schedule(prepared.cov, compiled)
         self.target = apply_affine(source, compiled.intended)
+        self.scoring = _Scoring(compiled, self.plan.cov, self.target)
         self.mean, self.links = prepared.mean, []
         if any(link_noise):
             self.mean, _ = _unlinked(compiled.graph, source, compiled.head_nodes)
             self.links = _links(compiled.graph)
 
     def trial(self, rng, pins: dict[int, float] | None = None, index: int = 0) -> TrialRecord:
-        mean = _relink_mean(self.mean, self.links, self.link_noise, rng)
-        run = run_plan(self.plan, self.compiled, mean, rng, pins)
-        return _score(self.compiled, run, self.target, index)
+        mean, outcomes = _relink_mean(self.mean, self.links, self.link_noise, rng), {}
+        mean = self.plan.walk(mean, outcomes, rng, pins)
+        return self.scoring.record(outcomes, mean, index)
 
 
 def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
@@ -186,8 +207,9 @@ def run_program(config: ExperimentConfig) -> list[TrialRecord]:
 
     Each record holds the sampled (or pinned) outcomes and the
     frame-resolved output compared against the program's intended
-    action on the input.  The register is prepared and its schedule
-    planned once per call; each trial runs only the mean walk.
+    action on the input.  The register is prepared, its schedule planned
+    and its scoring's covariance halves built once per call; each trial
+    runs only the mean walk and the mean halves of scoring.
     """
     return _program_trials(config, range(config.trials))
 
@@ -265,8 +287,9 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     # strategy A: full chain, measure every node before the output
     baseline = _PlannedProgram(chain, source, link_noise)
     # strategy B: detached mini-cluster, pre-measure, select, attach.  The
-    # inner readouts are planned now, the attached ones at the first
-    # accepted trial; each trial replays means from the unlinked zeros.
+    # inner readouts are planned now, the attached ones and their scoring
+    # at the first accepted trial; each trial replays means from the
+    # unlinked zeros.
     mini = _linked_register(mini_graph, link_noise=link_noise)
     mini_links, unlinked = _links(mini_graph), np.zeros_like(mini.mean)
     inner = SchedulePlan(
@@ -276,6 +299,7 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     ends = (0, inner.mode_of[first] + 1)  # the attach link, source mode first
     attach_link = [(controlled_phase(1.0), _embed_index(k + 1, 2, ends))]
     attached: SchedulePlan | None = None
+    scoring: _Scoring | None = None
 
     baseline_records: list[TrialRecord] = []
     mini_records: list[TrialRecord] = []
@@ -301,12 +325,11 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
             _add_link_noise(joined.mean, joined.cov, ends, link_noise)
             mode_of = {node: m + 1 for node, m in inner.mode_of.items()}
             attached = SchedulePlan(joined.cov, attach_entries, {head: 0, **mode_of})
+            scoring = _Scoring(chain, attached.cov, baseline.target)
         # the mean of ``attach(source, register, ...)``, then the link's kicks
         mean = np.concatenate([source.mean[:1], mean[:k], source.mean[1:], mean[k:]])
         mean = attached.walk(_relink_mean(mean, attach_link, link_noise, rng), outcomes, rng)
-        state = GaussianState(mean, attached.cov, validate=False)
-        run = RunResult(outcomes, state, byproduct_frame(chain, outcomes))
-        mini_records.append(_shifted(_score(chain, run, baseline.target, trial)))
+        mini_records.append(_shifted(scoring.record(outcomes, mean, trial)))
 
     curve_grid = np.linspace(0.05, 5.0, 25)
     curve = [

@@ -68,15 +68,10 @@ class GaussianState:
 
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Moduli of the symplectic spectrum; all 1/2 for pure states."""
-        n = self.n_modes
-        if n == 0:
-            return np.zeros(0)
-        eigs = np.abs(np.linalg.eigvals(symplectic_form(n) @ self.cov))
-        return np.sort(eigs)[::2]
+        return _symplectic_eigenvalues(self.cov)
 
     def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        nus = self.symplectic_eigenvalues()
-        return bool(np.all(np.abs(nus - VACUUM_VARIANCE) <= tol)) if nus.size else True
+        return _is_pure(self.cov, tol)
 
     def tensor(self, other: "GaussianState") -> "GaussianState":
         """Product state with this state's modes first."""
@@ -106,6 +101,19 @@ class GaussianState:
             raise InvalidOperationError("mode index out of range")
         idx = list(modes) + [n + m for m in modes]
         return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)], validate=False)
+
+
+def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    n = cov.shape[0] // 2
+    if n == 0:
+        return np.zeros(0)
+    eigs = np.abs(np.linalg.eigvals(symplectic_form(n) @ cov))
+    return np.sort(eigs)[::2]
+
+
+def _is_pure(cov: np.ndarray, tol: float = PURITY_TOL) -> bool:
+    nus = _symplectic_eigenvalues(cov)
+    return bool(np.all(np.abs(nus - VACUUM_VARIANCE) <= tol)) if nus.size else True
 
 
 def vacuum(n_modes: int = 1) -> GaussianState:
@@ -323,29 +331,68 @@ def _condition_mean(mean: np.ndarray, keep, cross, mu: float, var: float, outcom
     return mean[keep] + cross * ((outcome - mu) / var)
 
 
-def _overlap(a: GaussianState, b: GaussianState) -> float:
-    total = a.cov + b.cov
-    delta = a.mean - b.mean
-    det = np.linalg.det(total)
-    if det <= 0:
-        raise InvalidStateError("degenerate covariance sum in overlap")
-    expo = -0.5 * float(delta @ np.linalg.solve(total, delta))
-    return float(np.exp(expo) / np.sqrt(det))
+def _gaussian_exponential(total: np.ndarray, delta: np.ndarray):
+    """exp(-delta^T total^-1 delta / 2), the only mean-dependent factor of
+    every fidelity formula below."""
+    return np.exp(-0.5 * float(delta @ np.linalg.solve(total, delta)))
+
+
+def _mixed_fidelity_factor(cov_a: np.ndarray, cov_b: np.ndarray, total: np.ndarray):
+    """Covariance-only factor of :func:`_mixed_fidelity`."""
+    form = symplectic_form(cov_a.shape[0] // 2)
+    eye = np.eye(form.shape[0])
+    aux = form.T @ np.linalg.solve(total, form / 4.0 + cov_b @ form @ cov_a)
+    inv = np.linalg.inv(aux @ form)
+    root = scipy.linalg.sqrtm(eye + inv @ inv / 4.0)
+    f_tot4 = np.linalg.det(2.0 * (root + eye) @ aux).real
+    return np.sqrt(f_tot4 / np.linalg.det(total))
 
 
 def _mixed_fidelity(a: GaussianState, b: GaussianState) -> float:
     """General Gaussian fidelity of Banchi, Braunstein & Pirandola
     (PRL 115, 260501, 2015), written for vacuum variance 1/2."""
-    form = symplectic_form(a.n_modes)
-    eye = np.eye(form.shape[0])
     total = a.cov + b.cov
-    delta = a.mean - b.mean
-    aux = form.T @ np.linalg.solve(total, form / 4.0 + b.cov @ form @ a.cov)
-    inv = np.linalg.inv(aux @ form)
-    root = scipy.linalg.sqrtm(eye + inv @ inv / 4.0)
-    f_tot4 = np.linalg.det(2.0 * (root + eye) @ aux).real
-    expo = -0.5 * float(delta @ np.linalg.solve(total, delta))
-    return float(np.sqrt(f_tot4 / np.linalg.det(total)) * np.exp(expo))
+    factor = _mixed_fidelity_factor(a.cov, b.cov, total)
+    return float(factor * _gaussian_exponential(total, a.mean - b.mean))
+
+
+class _FidelityCov(NamedTuple):
+    """Covariance half of :func:`fidelity`: the covariance sum, and the
+    scale that divides (``divide``) or multiplies its Gaussian exponential."""
+
+    total: np.ndarray
+    scale: float
+    divide: bool
+
+
+def _fidelity_cov(cov_a: np.ndarray, cov_b: np.ndarray) -> _FidelityCov:
+    """Everything :func:`fidelity` computes from the two covariances: the
+    closed form's determinants and λ on one mode; on several, the
+    pure-or-mixed decision and then the overlap's determinant (guarded
+    against a degenerate sum) or the mixed formula's factor."""
+    total = cov_a + cov_b
+    if cov_a.shape[0] == 2:
+        big = float(np.linalg.det(total))
+        lam = max(
+            0.0,
+            (4.0 * float(np.linalg.det(cov_a)) - 1.0)
+            * (4.0 * float(np.linalg.det(cov_b)) - 1.0)
+            / 4.0,
+        )
+        return _FidelityCov(total, np.sqrt(big + lam) - np.sqrt(lam), True)
+    if _is_pure(cov_a, 1e-6) or _is_pure(cov_b, 1e-6):
+        det = np.linalg.det(total)
+        if det <= 0:
+            raise InvalidStateError("degenerate covariance sum in overlap")
+        return _FidelityCov(total, np.sqrt(det), True)
+    return _FidelityCov(total, _mixed_fidelity_factor(cov_a, cov_b, total), False)
+
+
+def _fidelity_mean(half: _FidelityCov, delta: np.ndarray) -> float:
+    """Mean half of :func:`fidelity` for the mean difference ``delta``."""
+    gauss = _gaussian_exponential(half.total, delta)
+    value = gauss / half.scale if half.divide else half.scale * gauss
+    return float(min(max(value, 0.0), 1.0))
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:
@@ -354,28 +401,14 @@ def fidelity(a: GaussianState, b: GaussianState) -> float:
     One mode uses the exact closed form valid for arbitrary (also
     mixed) Gaussian pairs.  For several modes the fidelity is the state
     overlap when either argument is pure, and the general mixed-state
-    formula (:func:`_mixed_fidelity`) otherwise.
+    formula (:func:`_mixed_fidelity`) otherwise.  Only the exponential
+    reads the means, so a caller scoring many means against fixed
+    covariances runs :func:`_fidelity_cov` once and :func:`_fidelity_mean`
+    per mean, with the same bits.
     """
     if a.n_modes != b.n_modes:
         raise InvalidOperationError("fidelity needs states on equal mode counts")
-    if a.n_modes == 1:
-        total = a.cov + b.cov
-        delta = a.mean - b.mean
-        big = float(np.linalg.det(total))
-        lam = max(
-            0.0,
-            (4.0 * float(np.linalg.det(a.cov)) - 1.0)
-            * (4.0 * float(np.linalg.det(b.cov)) - 1.0)
-            / 4.0,
-        )
-        expo = np.exp(-0.5 * float(delta @ np.linalg.solve(total, delta)))
-        value = expo / (np.sqrt(big + lam) - np.sqrt(lam))
-    else:
-        if a.is_pure(1e-6) or b.is_pure(1e-6):
-            value = _overlap(a, b)
-        else:
-            value = _mixed_fidelity(a, b)
-    return float(min(max(value, 0.0), 1.0))
+    return _fidelity_mean(_fidelity_cov(a.cov, b.cov), a.mean - b.mean)
 
 
 def wigner(

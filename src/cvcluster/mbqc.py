@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,12 +121,18 @@ def instruction_affine(op: Instruction, n_modes: int) -> SymplecticAffine:
     return local.embed(n_modes, list(op.targets))
 
 
+def _composed(maps, n_modes: int) -> SymplecticAffine:
+    """Composition of ``maps``, later maps applied last."""
+    total = SymplecticAffine.identity(n_modes)
+    for op_map in maps:
+        total = op_map.compose(total)
+    return total
+
+
 def intended_affine(program: GateProgram) -> SymplecticAffine:
     """Composition of all intended gates, later instructions applied last."""
-    total = SymplecticAffine.identity(program.n_modes)
-    for op in program.ops:
-        total = instruction_affine(op, program.n_modes).compose(total)
-    return total
+    n = program.n_modes
+    return _composed([instruction_affine(op, n) for op in program.ops], n)
 
 
 @dataclass(frozen=True)
@@ -243,10 +250,62 @@ class MeasurementSchedule:
 
 
 @dataclass(frozen=True)
+class StepFrame:
+    """The parts of one step's physical map ``x -> matrix x + shift`` that
+    read no outcome, fixed at compile time.
+
+    ``prefix`` is the running product of the step matrices up to and
+    including this step.  The shift starts at ``fixed``, the first
+    byproduct applied to the instruction's shift (None for zero), and each
+    ``(node, wire, carry)`` of ``reads`` then adds its outcome on the
+    wire's position, after ``carry`` (a later byproduct's matrix, None for
+    the first) acts on what came before.
+    """
+
+    matrix: np.ndarray
+    prefix: np.ndarray
+    fixed: np.ndarray | None
+    reads: tuple[tuple[int, int, np.ndarray | None], ...]
+
+    def shift(self, outcomes: dict[int, float]) -> np.ndarray:
+        """The step's shift for recorded ``outcomes``, in the arithmetic of
+        composing its byproducts one by one."""
+        shift = self.fixed
+        for node, wire, carry in self.reads:
+            if carry is not None:
+                shift = carry @ shift
+            kick = np.zeros(len(self.matrix))
+            kick[wire] = outcomes[node]
+            shift = kick if shift is None else shift + kick
+        return np.zeros(len(self.matrix)) if shift is None else shift
+
+
+def _step_frame(step: StepPlan, op_map: SymplecticAffine, quarters, prefix) -> StepFrame:
+    """A step's physical map: the instruction's map followed by each
+    measured node's byproduct, or the byproduct alone for a Fourier step,
+    whose quarter rotation is the byproduct itself; the identity for a
+    classical step.  ``quarters[w]`` is the byproduct matrix on wire w."""
+    if step.kind == "classical":
+        matrix, fixed, reads = np.eye(len(prefix)), None, ()
+    else:
+        byproducts = [quarters[wire] for wire in step.wires]
+        carries = [None] + byproducts[1:]
+        reads = tuple(zip(step.measured_nodes, step.wires, carries))
+        if step.instruction.kind == "f":
+            matrix, fixed = byproducts[0], None
+        else:
+            matrix, fixed = byproducts[0] @ op_map.matrix, byproducts[0] @ op_map.shift
+            for byproduct in byproducts[1:]:
+                matrix = byproduct @ matrix
+    return StepFrame(matrix, matrix @ prefix, fixed, reads)
+
+
+@dataclass(frozen=True)
 class CompiledProgram:
     """Cluster graph plus measurement schedule realizing a program, with
-    the program's intended map, its inverse, and each instruction's
-    intended map embedded in the wires (``instruction_maps[i]``)."""
+    the program's intended map and its byproduct frame's fixed parts:
+    one :class:`StepFrame` per step, the frame's matrix and the part of
+    its shift that reads no outcome (``frame_offset``)."""
 
     program: GateProgram
     graph: ClusterGraph
@@ -254,8 +313,9 @@ class CompiledProgram:
     tail_nodes: tuple[int, ...]
     schedule: MeasurementSchedule
     intended: SymplecticAffine
-    intended_inverse: SymplecticAffine
-    instruction_maps: tuple[SymplecticAffine, ...]
+    frames: tuple[StepFrame, ...]
+    frame_matrix: np.ndarray
+    frame_offset: np.ndarray
 
 
 def compile_program(
@@ -270,9 +330,10 @@ def compile_program(
     a cross-wire interaction) and extends the wire by fresh squeezed
     nodes whose width is ``omega`` unless overridden per instruction
     index via ``omega_overrides``.  Position displacements produce no
-    measurement; they are folded into frame bookkeeping.  The program's
-    intended map, its inverse and the embedded instruction maps are
-    computed once here and read by every trial's frame.
+    measurement; they are folded into frame bookkeeping.  Each
+    instruction's map is built once here, and from those the intended
+    map and every matrix of the byproduct frame, which no outcome moves;
+    a trial's frame replays only the shifts.
     """
     overrides = omega_overrides or {}
     nodes: list[tuple[int, float]] = []
@@ -339,10 +400,24 @@ def compile_program(
 
     graph = ClusterGraph(nodes=nodes, edges=edges)
     schedule = MeasurementSchedule(steps, program.n_modes)
-    intended = intended_affine(program)
-    maps = tuple(instruction_affine(op, program.n_modes) for op in program.ops)
+    maps = [instruction_affine(op, program.n_modes) for op in program.ops]
+    intended = _composed(maps, program.n_modes)
+    quarters = [_byproduct(0.0, program.n_modes, wire).matrix for wire in heads]
+    frames, prefix = [], np.eye(2 * program.n_modes)
+    for step in steps:
+        frames.append(_step_frame(step, maps[step.index], quarters, prefix))
+        prefix = frames[-1].prefix
+    inverse = intended.inverse()
     return CompiledProgram(
-        program, graph, heads, tuple(tails), schedule, intended, intended.inverse(), maps
+        program,
+        graph,
+        heads,
+        tuple(tails),
+        schedule,
+        intended,
+        tuple(frames),
+        prefix @ inverse.matrix,
+        prefix @ inverse.shift,
     )
 
 
@@ -396,6 +471,28 @@ class ByproductFrame:
             raise FrameError(str(exc)) from exc
 
 
+class _Resolution(NamedTuple):
+    """Covariance half of :func:`resolve_frame`: the inverse of the
+    frame's matrix, its negative, and the resolved covariance."""
+
+    inverse: np.ndarray
+    negative: np.ndarray
+    cov: np.ndarray
+
+
+def _resolution_cov(matrix: np.ndarray, cov: np.ndarray) -> _Resolution:
+    """Covariance half of resolving a frame whose matrix is ``matrix`` on
+    an output with covariance ``cov``."""
+    inverse = np.linalg.inv(matrix)
+    return _Resolution(inverse, -inverse, inverse @ cov @ inverse.T)
+
+
+def _resolution_mean(half: _Resolution, mean: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Mean half: the resolved mean of an output with mean ``mean`` under
+    a frame whose shift is ``shift``, as applying the inverse map does."""
+    return half.inverse @ mean + half.negative @ shift
+
+
 def resolve_frame(state: GaussianState, frame: ByproductFrame) -> GaussianState:
     """Undo the accumulated byproduct; a frame resolves exactly once."""
     if frame.consumed:
@@ -405,7 +502,9 @@ def resolve_frame(state: GaussianState, frame: ByproductFrame) -> GaussianState:
             f"frame covers {frame.n_modes} modes, state has {state.n_modes}"
         )
     frame.consumed = True
-    return apply_affine(state, frame.affine.inverse())
+    half = _resolution_cov(frame.affine.matrix, state.cov)
+    mean = _resolution_mean(half, state.mean, frame.affine.shift)
+    return GaussianState(mean, half.cov, validate=False)
 
 
 @dataclass(frozen=True)
@@ -522,24 +621,14 @@ class RunResult:
     frame: ByproductFrame
 
 
-def step_physical_affine(
-    compiled: CompiledProgram, step: StepPlan, outcomes: dict[int, float]
-) -> SymplecticAffine:
-    """Phase-space map this step applied to the logical register."""
-    n_wires = compiled.program.n_modes
-    if step.kind == "classical":
-        return SymplecticAffine.identity(n_wires)
-    byproducts = [
-        _byproduct(outcomes[node], n_wires, wire)
-        for wire, node in zip(step.wires, step.measured_nodes)
-    ]
-    if step.instruction.kind == "f":
-        # the quarter rotation is the teleport byproduct itself
-        return byproducts[0]
-    total = compiled.instruction_maps[step.index]
-    for byproduct in byproducts:
-        total = byproduct.compose(total)
-    return total
+def _frame_shift(compiled: CompiledProgram, outcomes: dict[int, float]) -> np.ndarray:
+    """Shift of a run's frame, the only part of it that reads outcomes:
+    the steps' shifts chained in the arithmetic of composing their maps,
+    then the program's inverse."""
+    shift = np.zeros(len(compiled.frame_matrix))
+    for part in compiled.frames:
+        shift = part.matrix @ shift + part.shift(outcomes)
+    return compiled.frame_offset + shift
 
 
 def byproduct_frame(
@@ -547,10 +636,8 @@ def byproduct_frame(
 ) -> ByproductFrame:
     """Frame of a run, assembled in wire order from its recorded outcomes,
     so it does not depend on the order the measurements ran in."""
-    physical = SymplecticAffine.identity(compiled.program.n_modes)
-    for step in compiled.schedule.steps:
-        physical = step_physical_affine(compiled, step, outcomes).compose(physical)
-    return ByproductFrame(physical.compose(compiled.intended_inverse))
+    matrix = compiled.frame_matrix.copy()
+    return ByproductFrame(SymplecticAffine._derived(matrix, _frame_shift(compiled, outcomes)))
 
 
 class SchedulePlan:

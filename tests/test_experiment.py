@@ -2,10 +2,15 @@
 tomography summaries."""
 
 import math
+import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvcluster.distortion import NoiseBudget, apply_input_noise, apply_qnd_noise
 from cvcluster.exceptions import ConfigError, InvalidOperationError
@@ -31,14 +36,20 @@ from cvcluster.gaussian import (
     vacuum,
 )
 from cvcluster.mbqc import (
+    ByproductFrame,
     GateProgram,
     Instruction,
+    _byproduct,
     byproduct_frame,
     compile_program,
+    instruction_affine,
+    intended_affine,
+    plan_schedule,
     prepare_cluster_state,
     resolve_frame,
+    run_plan,
 )
-from cvcluster.symplectic import controlled_phase
+from cvcluster.symplectic import SymplecticAffine, controlled_phase, symplectic_form
 
 from conftest import fourier_wire
 
@@ -430,3 +441,168 @@ def test_sweep_equals_preparing_every_trial_from_scratch(sample, drawn):
             expected.stderr,
             expected.trials,
         )
+
+
+# Scoring as every trial ran it before its covariance halves were planned:
+# a frame of composed byproduct maps, resolved by applying its inverse, and
+# the fidelity formulas evaluated whole.  Kept here as the reference that
+# the planned scoring must match bit for bit.
+
+
+def _old_byproduct_frame(compiled, outcomes):
+    n = compiled.program.n_modes
+    physical = SymplecticAffine.identity(n)
+    for step in compiled.schedule.steps:
+        total = SymplecticAffine.identity(n)
+        if step.kind != "classical":
+            byproducts = [
+                _byproduct(outcomes[node], n, wire)
+                for wire, node in zip(step.wires, step.measured_nodes)
+            ]
+            if step.instruction.kind == "f":
+                total = byproducts[0]
+            else:
+                total = instruction_affine(step.instruction, n)
+                for byproduct in byproducts:
+                    total = byproduct.compose(total)
+        physical = total.compose(physical)
+    return ByproductFrame(physical.compose(intended_affine(compiled.program).inverse()))
+
+
+def _old_resolve_frame(state, frame):
+    return apply_affine(state, frame.affine.inverse())
+
+
+def _old_fidelity(a, b):
+    total, delta = a.cov + b.cov, a.mean - b.mean
+    expo = -0.5 * float(delta @ np.linalg.solve(total, delta))
+    if a.n_modes == 1:
+        big = float(np.linalg.det(total))
+        lam = max(
+            0.0,
+            (4.0 * float(np.linalg.det(a.cov)) - 1.0)
+            * (4.0 * float(np.linalg.det(b.cov)) - 1.0)
+            / 4.0,
+        )
+        value = np.exp(expo) / (np.sqrt(big + lam) - np.sqrt(lam))
+    elif a.is_pure(1e-6) or b.is_pure(1e-6):
+        value = float(np.exp(expo) / np.sqrt(np.linalg.det(total)))
+    else:
+        form = symplectic_form(a.n_modes)
+        eye = np.eye(form.shape[0])
+        aux = form.T @ np.linalg.solve(total, form / 4.0 + b.cov @ form @ a.cov)
+        inv = np.linalg.inv(aux @ form)
+        root = scipy.linalg.sqrtm(eye + inv @ inv / 4.0)
+        f_tot4 = np.linalg.det(2.0 * (root + eye) @ aux).real
+        value = float(np.sqrt(f_tot4 / np.linalg.det(total)) * np.exp(expo))
+    return float(min(max(value, 0.0), 1.0))
+
+
+def _old_program_records(config: ExperimentConfig) -> list[TrialRecord]:
+    """Each trial prepared from scratch, run through its plan, and scored
+    by the reference chain."""
+    compiled = compile_program(config.program, config.omega, config.omega_overrides)
+    source = _input_state(config, config.program.n_modes)
+    target = apply_affine(source, compiled.intended)
+    records = []
+    for trial in range(config.trials):
+        rng = trial_rng(config.seed, trial)
+        register = prepare_cluster_state(
+            compiled, source, config.budget.link_variances(), rng
+        )
+        plan = plan_schedule(register.cov, compiled)
+        run = run_plan(plan, compiled, register.mean, rng, config.pins or None)
+        frame = _old_byproduct_frame(compiled, run.outcomes)
+        resolved = _old_resolve_frame(run.state, frame)
+        value = _old_fidelity(resolved, target)
+        records.append(
+            TrialRecord(
+                trial,
+                dict(run.outcomes),
+                True,
+                resolved.mean.tolist(),
+                resolved.cov.tolist(),
+                float(value),
+            )
+        )
+    return records
+
+
+@st.composite
+def _scored_configs(draw, case):
+    n = {"one_wire": 1, "two_wires_vacuum": 2, "two_wires_input_excess": 2}.get(case)
+    n = n or draw(st.integers(1, 2), label="wires")
+    kinds = ["x", "z", "f", "p"] + (["cz"] if n == 2 else [])
+    ops = []
+    for _ in range(draw(st.integers(1, 5), label="ops")):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cz":
+            params = draw(st.sampled_from([(), (0.7,), (-1.1,)]))
+            ops.append(Instruction("cz", (0, 1), params))
+        else:
+            params = () if kind == "f" else (draw(st.floats(-1.5, 1.5)),)
+            ops.append(Instruction(kind, (draw(st.integers(0, n - 1)),), params))
+    program = GateProgram(n, tuple(ops))
+    budget = NoiseBudget(
+        per_link_variance=draw(st.floats(0.001, 0.05)) if case == "link_noise" else 0.0,
+        input_excess_variance=(
+            draw(st.floats(0.01, 0.5)) if case == "two_wires_input_excess" else 0.0
+        ),
+    )
+    pins = {}
+    if case == "pins":
+        nodes = [entry.node for entry in compile_program(program).schedule.entries]
+        pinned = draw(st.sets(st.sampled_from(nodes)) if nodes else st.just(set()))
+        pins = {node: draw(st.floats(-2.0, 2.0)) for node in sorted(pinned)}
+    input_mean = None
+    if n == 1:
+        input_mean = draw(st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    return ExperimentConfig(
+        program=program,
+        omega=draw(st.floats(0.05, 1.0), label="omega"),
+        budget=budget,
+        trials=draw(st.integers(1, 3), label="trials"),
+        seed=draw(st.integers(0, 2**32 - 1), label="seed"),
+        input_mean=input_mean,
+        pins=pins,
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "one_wire",
+        "two_wires_vacuum",
+        "two_wires_input_excess",
+        "link_noise",
+        "pins",
+        "mini_arm_window_inf",
+    ],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_planned_scoring_matches_todays_chain_bit_for_bit(case, data):
+    if case == "mini_arm_window_inf":
+        config = ExperimentConfig(
+            omega=data.draw(st.floats(0.1, 1.0), label="omega"),
+            window=math.inf,
+            trials=3,
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            budget=data.draw(st.sampled_from([NoiseBudget(), NOISY]), label="budget"),
+        )
+        records = run_postselection_experiment(config).mini_records
+        # the step-by-step mini arm, scored by the reference chain
+        with mock.patch.multiple(
+            sys.modules[__name__],
+            byproduct_frame=_old_byproduct_frame,
+            resolve_frame=_old_resolve_frame,
+            fidelity=_old_fidelity,
+        ):
+            expected = _reference_mini_records(config)
+        assert all(record.accepted for record in records)
+    else:
+        config = data.draw(_scored_configs(case), label="config")
+        records, expected = run_program(config), _old_program_records(config)
+    assert records == expected
+    # repr tells every bit of a float apart, the sign of a zero included
+    assert [repr(record) for record in records] == [repr(record) for record in expected]

@@ -9,6 +9,8 @@ from conftest import assert_state_allclose, mixed_states, symplectic_maps
 from cvcluster.exceptions import InvalidOperationError, InvalidStateError, MeasurementError
 from cvcluster.gaussian import (
     GaussianState,
+    _fidelity_cov,
+    _fidelity_mean,
     _mixed_fidelity,
     apply_affine,
     coherent,
@@ -267,6 +269,38 @@ def test_mixed_fidelity_factorises_on_products():
     # the same pair seen through one shared two-mode map keeps its fidelity
     linked = fidelity(_mixed_two_mode(a1, a2), _mixed_two_mode(b1, b2))
     assert linked == pytest.approx(joint, abs=1e-12)
+
+
+def _pure_states(n_modes):
+    return symplectic_maps(n_modes).map(lambda op: apply_affine(vacuum(n_modes), op))
+
+
+def _fidelity_pairs(n_modes):
+    either = st.one_of(_pure_states(n_modes), mixed_states(n_modes))
+    return st.tuples(either, either, st.lists(mixed_states(n_modes), min_size=1, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(_fidelity_pairs))
+def test_fidelity_is_its_covariance_half_then_its_mean_half(pair):
+    a, b, others = pair
+    half = _fidelity_cov(a.cov, b.cov)
+    assert repr(_fidelity_mean(half, a.mean - b.mean)) == repr(fidelity(a, b))
+    # the covariance half reads no mean, so one serves every pair of means
+    for other in others:
+        moved_a = GaussianState(other.mean, a.cov, validate=False)
+        moved_b = GaussianState(-other.mean, b.cov, validate=False)
+        expected = fidelity(moved_a, moved_b)
+        assert repr(_fidelity_mean(half, moved_a.mean - moved_b.mean)) == repr(expected)
+
+
+def test_fidelity_rejects_a_degenerate_covariance_sum():
+    pure = apply_affine(vacuum(2), controlled_phase(0.5))
+    negated = GaussianState(np.zeros(4), -pure.cov, validate=False)
+    with pytest.raises(InvalidStateError, match="degenerate"):
+        fidelity(pure, negated)
+    with pytest.raises(InvalidStateError, match="degenerate"):
+        _fidelity_cov(pure.cov, negated.cov)
 
 
 def test_wigner_peak_tail_and_normalization():

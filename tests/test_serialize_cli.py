@@ -1,10 +1,15 @@
 """JSON interchange, file writers, and the command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvcluster
 from cvcluster.cli import main
 from cvcluster.cluster import ClusterGraph
 from cvcluster.exceptions import ConfigError
@@ -205,6 +210,23 @@ def test_cli_run_writes_record_files(tmp_path, program_config, capsys):
     assert len(header["config_hash"]) == 64
     csv_lines = (out / "trials.csv").read_text().splitlines()
     assert csv_lines[3].startswith("index,accepted,fidelity")
+
+
+def test_python_m_cvcluster_runs_the_command_line(tmp_path, program_config):
+    # the source tree the tests import, found without an install
+    env = {**os.environ, "PYTHONPATH": str(Path(cvcluster.__file__).parents[1])}
+    out = tmp_path / "out"
+    command = [sys.executable, "-m", "cvcluster", "run", "--config", str(program_config)]
+    done = subprocess.run(
+        command + ["--trials", "2", "--out", str(out)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 3
 
 
 def test_cli_run_pins_propagate(tmp_path, program_config, capsys):
