@@ -88,6 +88,10 @@ class ExperimentConfig:
             raise ConfigError("omega must be positive and finite")
         if self.chain_nodes < 4:
             raise ConfigError("the chain experiment needs at least 4 nodes")
+        if not np.all(np.isfinite([*(self.input_mean or ()), *self.pins.values()])):
+            raise ConfigError("input_mean and pinned outcomes must be finite")
+        if not all(w > 0 and np.isfinite(w) for w in (self.omega_overrides or {}).values()):
+            raise ConfigError("omega_overrides must be positive and finite")
 
 
 @dataclass
@@ -147,21 +151,6 @@ class _Scoring:
         )
 
 
-def _run_trial(
-    compiled: CompiledProgram,
-    prepared: GaussianState,
-    source: GaussianState,
-    rng: np.random.Generator | None = None,
-    pins: dict[int, float] | None = None,
-    index: int = 0,
-) -> TrialRecord:
-    """Measure a prepared register through its whole schedule and score it."""
-    plan, outcomes = plan_schedule(prepared.cov, compiled), {}
-    mean = plan.walk(prepared.mean, outcomes, rng, pins)
-    scoring = _Scoring(compiled, plan.cov, apply_affine(source, compiled.intended))
-    return scoring.record(outcomes, mean, index)
-
-
 class _PlannedProgram:
     """A compiled program on one input, prepared and planned once.
 
@@ -193,7 +182,14 @@ def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
     draws its link noise and outcomes from ``trial_rng(seed, t)``."""
     if config.program is None:
         raise ConfigError("running a program needs a program in the config")
-    compiled = compile_program(config.program, config.omega, config.omega_overrides)
+    overrides = config.omega_overrides or {}
+    stray = sorted(set(overrides) - set(range(len(config.program.ops))))
+    if stray:
+        raise ConfigError(f"omega_overrides name no instruction: {stray}")
+    compiled = compile_program(config.program, config.omega, overrides)
+    stray = sorted(set(config.pins) - {entry.node for entry in compiled.schedule.entries})
+    if stray:
+        raise ConfigError(f"pins name no measured node: {stray}")
     source = _input_state(config, config.program.n_modes)
     planned = _PlannedProgram(compiled, source, config.budget.link_variances())
     pins = config.pins or None

@@ -35,7 +35,8 @@ from .exceptions import (
     MeasurementError,
     ScheduleError,
 )
-from .gaussian import GaussianState, apply_affine, homodyne, squeezed_vacuum_p, vacuum
+from .gaussian import GaussianState, vacuum
+from .gaussian import homodyne  # noqa: F401 - unused; the benchmark tracer rebinds it here
 from .gaussian import _apply_local_cov, _apply_local_mean, _condition_cov, _condition_mean
 from .symplectic import (
     SymplecticAffine,
@@ -210,30 +211,19 @@ class ScheduleEntry:
     basis: Basis
     wire: int
     step_index: int
-    slot: int
     barrier: int
 
 
 class MeasurementSchedule:
     """Ordered homodyne plan; entries may execute in any order."""
 
-    def __init__(self, steps: list[StepPlan], n_wires: int):
+    def __init__(self, steps: list[StepPlan]):
         self.steps = tuple(steps)
-        self.n_wires = n_wires
-        entries: list[ScheduleEntry] = []
-        for step in self.steps:
-            for slot, node in enumerate(step.measured_nodes):
-                entries.append(
-                    ScheduleEntry(
-                        node=node,
-                        basis=step.bases[slot],
-                        wire=step.wires[slot] if step.kind == "cz" else step.wires[0],
-                        step_index=step.index,
-                        slot=slot,
-                        barrier=0,
-                    )
-                )
-        self.entries = tuple(entries)
+        self.entries = tuple(
+            ScheduleEntry(node, basis, wire, step.index, barrier=0)
+            for step in self.steps
+            for node, basis, wire in zip(step.measured_nodes, step.bases, step.wires)
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -399,7 +389,7 @@ def compile_program(
         tails[wire] = new
 
     graph = ClusterGraph(nodes=nodes, edges=edges)
-    schedule = MeasurementSchedule(steps, program.n_modes)
+    schedule = MeasurementSchedule(steps)
     maps = [instruction_affine(op, program.n_modes) for op in program.ops]
     intended = _composed(maps, program.n_modes)
     quarters = [_byproduct(0.0, program.n_modes, wire).matrix for wire in heads]
@@ -507,13 +497,6 @@ def resolve_frame(state: GaussianState, frame: ByproductFrame) -> GaussianState:
     return GaussianState(mean, half.cov, validate=False)
 
 
-@dataclass(frozen=True)
-class TeleportResult:
-    outcome: float
-    state: GaussianState
-    frame_update: SymplecticAffine
-
-
 def _byproduct(outcome: float, n_wires: int = 1, wire: int = 0) -> SymplecticAffine:
     """Teleport byproduct of one recorded outcome on ``wire``: the quarter
     rotation followed by a position shift, ``shift_q(outcome) ∘ F``,
@@ -524,92 +507,6 @@ def _byproduct(outcome: float, n_wires: int = 1, wire: int = 0) -> SymplecticAff
     shift = np.zeros(2 * n_wires)
     shift[q] = outcome
     return SymplecticAffine._derived(matrix, shift)
-
-
-def _insert_last_at(state: GaussianState, position: int) -> GaussianState:
-    """Move the last mode to ``position``, shifting the rest up."""
-    n = state.n_modes
-    order = list(range(n - 1))
-    order.insert(position, n - 1)
-    return state.permute_modes(order)
-
-
-def teleport_step(
-    state: GaussianState,
-    mode: int,
-    omega: float,
-    gate: str = "identity",
-    param: float = 0.0,
-    outcome: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> TeleportResult:
-    """One elementary teleportation: link a fresh squeezed node to
-    ``mode``, measure the old mode in the gate's conjugated-momentum
-    basis, and return the register with the wire advanced in place.
-
-    ``outcome`` pins the recorded value; otherwise it is sampled.  The
-    returned frame update is the displacement-plus-quarter-rotation
-    byproduct on the advanced wire.
-    """
-    basis = basis_for_diagonal(gate, param)
-    n = state.n_modes
-    worked = state.tensor(squeezed_vacuum_p(omega))
-    worked = apply_affine(worked, controlled_phase(1.0), [mode, n])
-    raw = None if outcome is None else basis.raw(outcome)
-    result = homodyne(worked, mode, basis.engine_angle, outcome=raw, rng=rng)
-    recorded = outcome if outcome is not None else basis.record(result.outcome)
-    out_state = _insert_last_at(result.state, mode)
-    return TeleportResult(recorded, out_state, _byproduct(recorded))
-
-
-@dataclass(frozen=True)
-class CzStepResult:
-    outcomes: tuple[float, float]
-    state: GaussianState
-    frame_update: SymplecticAffine
-
-
-def cz_step(
-    state: GaussianState,
-    wires: tuple[int, int],
-    omegas: tuple[float, float] = (DEFAULT_ANCILLA_OMEGA, DEFAULT_ANCILLA_OMEGA),
-    outcomes: tuple[float | None, float | None] = (None, None),
-    rng: np.random.Generator | None = None,
-    weight: float = 1.0,
-) -> CzStepResult:
-    """Cross-wire interaction: link fresh nodes to both wires, link the
-    two old tails, measure both old tails in momentum.
-
-    Leaves the interacted-and-advanced register with byproduct
-    displacement-plus-rotation on each wire; the frame update excludes
-    the intended two-mode link itself.
-    """
-    mode_a, mode_b = wires
-    if mode_a == mode_b:
-        raise InvalidOperationError("cross-wire step needs two distinct wires")
-    n = state.n_modes
-    worked = state.tensor(squeezed_vacuum_p(omegas[0]))
-    worked = worked.tensor(squeezed_vacuum_p(omegas[1]))
-    worked = apply_affine(worked, controlled_phase(1.0), [mode_a, n])
-    worked = apply_affine(worked, controlled_phase(1.0), [mode_b, n + 1])
-    worked = apply_affine(worked, controlled_phase(weight), [mode_a, mode_b])
-    first = homodyne(worked, mode_a, math.pi / 2.0, outcome=outcomes[0], rng=rng)
-    s1 = outcomes[0] if outcomes[0] is not None else first.outcome
-    shifted_b = first.relabel[mode_b]
-    second = homodyne(first.state, shifted_b, math.pi / 2.0, outcome=outcomes[1], rng=rng)
-    s2 = outcomes[1] if outcomes[1] is not None else second.outcome
-    # the two fresh nodes are now the last two modes; return them to
-    # the wire positions
-    worked = second.state
-    remaining = worked.n_modes
-    order = list(range(remaining - 2))
-    low, high = sorted((mode_a, mode_b))
-    order.insert(low, remaining - 2 if low == mode_a else remaining - 1)
-    order.insert(high, remaining - 1 if high == mode_b else remaining - 2)
-    out_state = worked.permute_modes(order)
-    return CzStepResult(
-        (s1, s2), out_state, _byproduct(s2, 2, 1).compose(_byproduct(s1, 2, 0))
-    )
 
 
 @dataclass
@@ -719,13 +616,6 @@ def plan_schedule(cov: np.ndarray, compiled: CompiledProgram, order=None) -> Sch
     return SchedulePlan(cov, entries, mode_of, compiled.tail_nodes)
 
 
-def run_plan(plan: SchedulePlan, compiled: CompiledProgram, mean, rng=None, pins=None):
-    """One trial of a planned program from a prepared register's mean."""
-    outcomes: dict[int, float] = {}
-    state = GaussianState(plan.walk(mean, outcomes, rng, pins), plan.cov, validate=False)
-    return RunResult(outcomes, state, byproduct_frame(compiled, outcomes))
-
-
 def run_schedule(
     state: GaussianState,
     compiled: CompiledProgram,
@@ -736,10 +626,49 @@ def run_schedule(
     """Execute every scheduled measurement on a prepared register.
 
     Plans the readouts on the register's covariance (:func:`plan_schedule`)
-    and runs the plan once on its mean (:func:`run_plan`); trial loops
-    keep one plan for every trial instead.  ``order`` permutes
-    measurement execution; the byproduct frame comes from
-    :func:`byproduct_frame`, so it does not depend on the order.
+    and walks the plan once on its mean; trial loops keep one plan for
+    every trial instead.  ``order`` permutes measurement execution; the
+    byproduct frame comes from :func:`byproduct_frame`, so it does not
+    depend on the order.
     """
-    plan = plan_schedule(state.cov, compiled, order)
-    return run_plan(plan, compiled, state.mean, rng, pins)
+    plan, outcomes = plan_schedule(state.cov, compiled, order), {}
+    mean = plan.walk(state.mean, outcomes, rng, pins)
+    output = GaussianState(mean, plan.cov, validate=False)
+    return RunResult(outcomes, output, byproduct_frame(compiled, outcomes))
+
+
+@dataclass(frozen=True)
+class TeleportResult:
+    outcome: float
+    state: GaussianState
+    frame_update: SymplecticAffine
+
+
+def teleport_step(
+    state: GaussianState,
+    mode: int,
+    omega: float,
+    gate: str = "identity",
+    param: float = 0.0,
+    outcome: float | None = None,
+    rng: np.random.Generator | None = None,
+) -> TeleportResult:
+    """One elementary teleportation: link a fresh squeezed node to
+    ``mode``, measure the old mode in the gate's conjugated-momentum
+    basis, and return the register with the wire advanced in place.
+
+    Runs the one-instruction program on ``state`` through the path every
+    program takes (:func:`compile_program`, :func:`prepare_cluster_state`,
+    :func:`run_schedule`); the identity gate is the bare Fourier step.
+    ``outcome`` pins the recorded value; otherwise it is sampled.  The
+    returned frame update is the displacement-plus-quarter-rotation
+    byproduct on the advanced wire.
+    """
+    basis_for_diagonal(gate, param)  # rejects gates that are not diagonal
+    kind = "f" if gate == "identity" else gate
+    op = Instruction(kind, (mode,), () if kind == "f" else (param,))
+    compiled = compile_program(GateProgram(state.n_modes, (op,)), omega)
+    pins = None if outcome is None else {mode: outcome}
+    run = run_schedule(prepare_cluster_state(compiled, state), compiled, rng=rng, pins=pins)
+    recorded = run.outcomes[mode]
+    return TeleportResult(recorded, run.state, _byproduct(recorded))

@@ -18,7 +18,6 @@ from cvcluster.experiment import (
     ExperimentConfig,
     TrialRecord,
     _input_state,
-    _run_trial,
     _summarize,
     fidelity_vs_squeezing,
     run_postselection_experiment,
@@ -44,14 +43,25 @@ from cvcluster.mbqc import (
     compile_program,
     instruction_affine,
     intended_affine,
-    plan_schedule,
     prepare_cluster_state,
     resolve_frame,
-    run_plan,
+    run_schedule,
 )
 from cvcluster.symplectic import SymplecticAffine, controlled_phase, symplectic_form
 
 from conftest import fourier_wire
+
+
+def _scored_trial(compiled, register, source, rng=None, pins=None, index=0):
+    """One trial measured and scored through the public chain: the whole
+    schedule on the prepared register, its frame resolved, and the output
+    compared with the intended map applied to ``source``."""
+    run = run_schedule(register, compiled, rng=rng, pins=pins)
+    resolved = resolve_frame(run.state, run.frame)
+    value = fidelity(resolved, apply_affine(source, compiled.intended))
+    return TrialRecord(
+        index, run.outcomes, True, resolved.mean.tolist(), resolved.cov.tolist(), value
+    )
 
 
 def test_config_validation():
@@ -67,7 +77,27 @@ def test_config_validation():
         ExperimentConfig(omega=float("inf"))
     with pytest.raises(ConfigError):
         ExperimentConfig(chain_nodes=3)
+    for changes in (
+        {"pins": {0: math.nan}},
+        {"pins": {0: math.inf}},
+        {"input_mean": (math.nan, 0.0)},
+        {"omega_overrides": {0: 0.0}},
+        {"omega_overrides": {0: math.inf}},
+    ):
+        with pytest.raises(ConfigError, match="must be"):
+            ExperimentConfig(**changes)
     assert ExperimentConfig(window=0.0).window == 0.0
+
+
+def test_run_and_replay_reject_what_the_program_never_reads():
+    config = ExperimentConfig(program=fourier_wire(2))
+    record = run_program(config)[0]
+    with pytest.raises(ConfigError, match="pins name no measured node"):
+        run_program(replace(config, pins={7: 0.5}))
+    with pytest.raises(ConfigError, match="omega_overrides name no instruction"):
+        run_program(replace(config, omega_overrides={-1: 0.5}))
+    with pytest.raises(ConfigError, match="omega_overrides name no instruction"):
+        replay_trial(replace(config, omega_overrides={2: 0.5}), record)
 
 
 def test_trial_rng_substreams_are_independent_and_stable():
@@ -223,7 +253,7 @@ def test_baseline_arm_is_a_compiled_fourier_chain_trial(budget):
                 for a, b, weight in chain.graph.edges:
                     register = apply_affine(register, controlled_phase(weight), [a, b])
                     register = apply_qnd_noise(register, 1, budget, rng, [a, b])
-            expected = _run_trial(chain, register, source, rng, index=trial)
+            expected = _scored_trial(chain, register, source, rng, index=trial)
             expected.outcomes = {node + 1: s for node, s in expected.outcomes.items()}
             assert record == expected
 
@@ -250,7 +280,7 @@ def test_run_program_adds_each_links_noise_in_edge_order():
             modes = [graph.mode_index(a), graph.mode_index(b)]
             register = apply_affine(register, controlled_phase(weight), modes)
             register = apply_qnd_noise(register, 1, budget, rng, modes)
-        assert record == _run_trial(compiled, register, vacuum(2), rng, index=trial)
+        assert record == _scored_trial(compiled, register, vacuum(2), rng, index=trial)
 
 
 @pytest.mark.parametrize("budget", [NoiseBudget(), NOISY])
@@ -375,7 +405,7 @@ def _per_trial_records(config: ExperimentConfig) -> list[TrialRecord]:
             compiled, source, config.budget.link_variances(), rng
         )
         records.append(
-            _run_trial(compiled, register, source, rng, config.pins or None, trial)
+            _scored_trial(compiled, register, source, rng, config.pins or None, trial)
         )
     return records
 
@@ -434,7 +464,7 @@ def test_sweep_equals_preparing_every_trial_from_scratch(sample, drawn):
         for _ in range(5):
             source = inputs(rng) if drawn else inputs
             register = prepare_cluster_state(compiled, source)
-            values.append(_run_trial(compiled, register, source, rng, pins).fidelity)
+            values.append(_scored_trial(compiled, register, source, rng, pins).fidelity)
         expected = _summarize(values)
         assert (point.mean_fidelity, point.stderr, point.trials) == (
             expected.mean_fidelity,
@@ -510,8 +540,7 @@ def _old_program_records(config: ExperimentConfig) -> list[TrialRecord]:
         register = prepare_cluster_state(
             compiled, source, config.budget.link_variances(), rng
         )
-        plan = plan_schedule(register.cov, compiled)
-        run = run_plan(plan, compiled, register.mean, rng, config.pins or None)
+        run = run_schedule(register, compiled, rng=rng, pins=config.pins or None)
         frame = _old_byproduct_frame(compiled, run.outcomes)
         resolved = _old_resolve_frame(run.state, frame)
         value = _old_fidelity(resolved, target)

@@ -21,6 +21,8 @@ from cvcluster.gaussian import (
     apply_affine,
     coherent,
     fidelity,
+    homodyne,
+    squeezed_vacuum_p,
     vacuum,
 )
 from cvcluster.mbqc import (
@@ -31,7 +33,6 @@ from cvcluster.mbqc import (
     _byproduct,
     basis_for_diagonal,
     compile_program,
-    cz_step,
     instruction_affine,
     intended_affine,
     plan_schedule,
@@ -221,25 +222,26 @@ def test_teleport_step_advances_wire_in_place():
     np.testing.assert_allclose(result.state.mean[3], 0.2, atol=1e-12)
 
 
-def test_cross_wire_step_realizes_the_link():
+def _cross_wire_step_fidelity(weight, pins):
+    """Fidelity of a one-op ``cz`` program's resolved output with the
+    weighted link applied directly to the input."""
     source = coherent(0.3, -0.2).tensor(coherent(-0.5, 0.1))
-    result = cz_step(source, (0, 1), omegas=(0.01, 0.01), outcomes=(0.1, -0.2))
-    assert result.outcomes == (0.1, -0.2)
-    resolved = apply_affine(result.state, result.frame_update.inverse())
-    target = apply_affine(source, controlled_phase(1.0), [0, 1])
-    assert fidelity(resolved, target) > 0.999
+    program = GateProgram(2, (Instruction("cz", (0, 1), (weight,)),))
+    compiled = compile_program(program, 0.01)
+    run = run_schedule(prepare_cluster_state(compiled, source), compiled, pins=pins)
+    assert run.outcomes == pins
+    resolved = resolve_frame(run.state, run.frame)
+    return fidelity(resolved, apply_affine(source, controlled_phase(weight), [0, 1]))
+
+
+def test_cross_wire_step_realizes_the_link():
+    assert _cross_wire_step_fidelity(1.0, {0: 0.1, 1: -0.2}) > 0.999
 
 
 def test_cross_wire_step_honors_the_weight():
-    source = coherent(0.3, -0.2).tensor(coherent(-0.5, 0.1))
-    result = cz_step(
-        source, (0, 1), omegas=(0.01, 0.01), outcomes=(0.0, 0.0), weight=0.7
-    )
-    resolved = apply_affine(result.state, result.frame_update.inverse())
-    target = apply_affine(source, controlled_phase(0.7), [0, 1])
-    assert fidelity(resolved, target) > 0.999
+    assert _cross_wire_step_fidelity(0.7, {0: 0.0, 1: 0.0}) > 0.999
     with pytest.raises(InvalidOperationError):
-        cz_step(source, (0, 0))
+        Instruction("cz", (0, 0))
 
 
 def test_pinned_run_resolves_to_the_intended_program():
@@ -490,3 +492,92 @@ def test_planning_a_readout_below_the_conditioning_floor_raises():
         run_schedule(register, compiled, pins={0: 0.0})
     with pytest.raises(MeasurementError, match="conditioning floor"):
         plan_schedule(cov, compiled)
+
+
+# The hand-built steps that teleported one gate before every step ran
+# through the compiled schedule: a fresh squeezed node per wire appended to
+# the register, the links applied one by one, ``homodyne`` on each old
+# tail, and each fresh node moved back to its wire's position.  Kept here
+# as the reference that the compiled one-op programs must match bit for bit.
+
+
+def _handbuilt_teleport(state, mode, omega, gate, param, outcome, rng):
+    basis = basis_for_diagonal(gate, param)
+    n = state.n_modes
+    worked = state.tensor(squeezed_vacuum_p(omega))
+    worked = apply_affine(worked, controlled_phase(1.0), [mode, n])
+    raw = None if outcome is None else basis.raw(outcome)
+    result = homodyne(worked, mode, basis.engine_angle, outcome=raw, rng=rng)
+    recorded = outcome if outcome is not None else basis.record(result.outcome)
+    order = list(range(n - 1))
+    order.insert(mode, n - 1)
+    return (recorded,), result.state.permute_modes(order)
+
+
+def _handbuilt_cz(state, wires, omega, weight, outcomes, rng):
+    mode_a, mode_b = wires
+    n = state.n_modes
+    worked = state.tensor(squeezed_vacuum_p(omega)).tensor(squeezed_vacuum_p(omega))
+    worked = apply_affine(worked, controlled_phase(1.0), [mode_a, n])
+    worked = apply_affine(worked, controlled_phase(1.0), [mode_b, n + 1])
+    worked = apply_affine(worked, controlled_phase(weight), [mode_a, mode_b])
+    first = homodyne(worked, mode_a, math.pi / 2.0, outcome=outcomes[0], rng=rng)
+    second = homodyne(
+        first.state, first.relabel[mode_b], math.pi / 2.0, outcome=outcomes[1], rng=rng
+    )
+    recorded = tuple(
+        s if s is not None else result.outcome
+        for s, result in zip(outcomes, (first, second))
+    )
+    order = list(range(n - 2))
+    low, high = sorted(wires)
+    order.insert(low, n - 2 if low == mode_a else n - 1)
+    order.insert(high, n - 1 if high == mode_b else n - 2)
+    return recorded, second.state.permute_modes(order)
+
+
+@st.composite
+def _one_op_steps(draw):
+    n = draw(st.integers(1, 3), label="wires")
+    omega = draw(st.floats(0.05, 1.0), label="omega")
+    source = draw(st.one_of(st.just(vacuum(n)), mixed_states(n)), label="input")
+    maybe_pin = st.one_of(st.none(), st.floats(-2.0, 2.0))
+    gates = ["identity", "f", "z", "p"] + (["cz"] if n > 1 else [])
+    gate = draw(st.sampled_from(gates), label="gate")
+    if gate == "cz":
+        wires = tuple(draw(st.permutations(range(n)))[:2])
+        weight = draw(st.sampled_from([1.0, 0.7, -1.1]), label="weight")
+        outcomes = (draw(maybe_pin), draw(maybe_pin))
+        return "cz", source, omega, wires, weight, outcomes
+    param = 0.0 if gate in ("identity", "f") else draw(st.floats(-1.5, 1.5))
+    return gate, source, omega, draw(st.integers(0, n - 1)), param, (draw(maybe_pin),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_op_steps(), st.integers(0, 2**32 - 1))
+def test_one_op_programs_match_the_handbuilt_steps_bit_for_bit(step, seed):
+    gate, source, omega, where, param, outcomes = step
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if gate == "cz":
+        compiled = compile_program(
+            GateProgram(source.n_modes, (Instruction("cz", where, (param,)),)), omega
+        )
+        pins = {wire: s for wire, s in zip(where, outcomes) if s is not None}
+        run = run_schedule(
+            prepare_cluster_state(compiled, source), compiled, rng=rng, pins=pins
+        )
+        recorded, state = tuple(run.outcomes[wire] for wire in where), run.state
+        expected = _handbuilt_cz(source, where, omega, param, outcomes, reference_rng)
+    else:
+        result = teleport_step(
+            source, where, omega, gate, param, outcome=outcomes[0], rng=rng
+        )
+        recorded, state = (result.outcome,), result.state
+        expected = _handbuilt_teleport(
+            source, where, omega, gate, param, outcomes[0], reference_rng
+        )
+        assert np.array_equal(result.frame_update.shift, [recorded[0], 0.0])
+    assert recorded == expected[0]
+    assert np.array_equal(state.mean, expected[1].mean)
+    assert np.array_equal(state.cov, expected[1].cov)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -300,6 +300,31 @@ def test_cli_runtime_failures_exit_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "changes,flags",
+    [
+        ({}, ["--pin", "0=nan"]),
+        ({}, ["--pin", "0=inf"]),
+        ({}, ["--pin", "7=0.5"]),
+        ({"omega_overrides": {"9": 0.5}}, []),
+        ({"omega_overrides": {"0": -0.1}}, []),
+        ({"input_mean": [float("nan"), 0.0]}, []),
+    ],
+    ids=["nan_pin", "inf_pin", "unmeasured_pin", "stray_override", "negative_override",
+         "nan_input_mean"],
+)
+def test_cli_bad_pins_and_overrides_exit_two_and_write_nothing(
+    tmp_path, capsys, changes, flags
+):
+    path = tmp_path / "config.json"
+    payload = {"schema": 1, "program": sample_program_payload(), "trials": 3, **changes}
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_cli_run_accepts_a_mixed_input_on_several_wires(tmp_path, capsys):
     # a thermalized input makes both the output and the target mixed
     path = tmp_path / "config.json"
