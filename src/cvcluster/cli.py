@@ -17,6 +17,7 @@ from .exceptions import ConfigError, CVClusterError
 from .experiment import (
     ExperimentConfig,
     TrialRecord,
+    _reject_unread,
     _summarize,
     fidelity_vs_squeezing,
     run_postselection_experiment,
@@ -232,6 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config, digest = _effective_config(args)
     if config.program is None:
         raise ConfigError("sweep needs a config with a program")
+    _reject_unread(config, ("pins", "omega_overrides", "noise", "input_mean"), "sweep")
     omegas = _parse_floats(args.omegas, "--omegas")
     sample = config.trials > 1
     rng = np.random.default_rng(config.seed) if sample else None

@@ -13,16 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidOperationError
+from .exceptions import InvalidOperationError, MeasurementError, ScheduleError
 from .gaussian import (
     GaussianState,
     _add_link_kicks,
-    _add_link_noise,
+    _add_link_variance,
     _apply_local,
+    _apply_local_cov,
     _apply_local_mean,
+    _condition_cov,
+    _condition_mean,
     squeezed_vacuum_p,
 )
-from .symplectic import SymplecticAffine, controlled_phase
+from .symplectic import SymplecticAffine, controlled_phase, rotation
 
 __all__ = [
     "ClusterGraph",
@@ -113,12 +116,111 @@ def build_cluster(graph: ClusterGraph) -> GaussianState:
     return _linked_register(graph)
 
 
-def _unlinked(graph: ClusterGraph, source: GaussianState | None = None, source_nodes=()):
-    """Mean and covariance before any link: mode i of ``source`` on node
-    ``source_nodes[i]``, squeezed vacua elsewhere."""
+class RegisterPlan:
+    """Links and homodyne readouts planned once on a register's covariance.
+
+    The covariance after each event reads no outcome and no noise draw;
+    only the mean moves, affinely.  Building a plan walks ``cov`` once
+    through ``events`` in list order (node ``i`` at mode ``mode_of[i]``):
+    an edge ``(a, b, weight)`` applies its controlled-phase link and then
+    adds ``link_noise`` ``(vq, vp)`` to both ends; any other event is a
+    schedule entry, read out in its basis once its variance passes
+    ``CONDITIONING_FLOOR``.  :meth:`walk` replays only the mean half of
+    each event, with the arithmetic and the normal draws of linking and
+    measuring step by step (:func:`~cvcluster.gaussian.homodyne`), so a
+    trial costs O(n) per event.  Every leading link that draws nothing is
+    folded here into ``mean``, the starting mean when one is given.
+
+    The survivors are then ``outputs`` in that order (all of them, in
+    register order, by default), with covariance ``cov`` and node-to-mode
+    map ``mode_of``.
+    """
+
+    def __init__(
+        self, cov, events, mode_of, outputs=None, link_noise=(0.0, 0.0), mean=None
+    ):
+        cov, mode_of, self.link_noise = np.array(cov, dtype=float), dict(mode_of), link_noise
+        self.mean = None if mean is None else np.array(mean, dtype=float)
+        self.steps: list[tuple] = []
+        maps: dict[float, SymplecticAffine] = {}
+        for event in events:
+            n = cov.shape[0] // 2
+            if isinstance(event, tuple):
+                a, b, weight = event
+                if weight not in maps:
+                    maps[weight] = controlled_phase(weight)
+                link = maps[weight]
+                index = [mode_of[a], mode_of[b], n + mode_of[a], n + mode_of[b]]
+                _apply_local_cov(cov, link, index)
+                _add_link_variance(cov, index[:2], link_noise)
+                if self.mean is not None and not self.steps and not any(link_noise):
+                    _apply_local_mean(self.mean, link, index)
+                else:
+                    self.steps.append((None, link, index, None, None, None, None))
+                continue
+            mode = mode_of.pop(event.node)
+            turn, index = None, [mode, n + mode]
+            if event.basis.engine_angle != 0.0:
+                turn = rotation(-event.basis.engine_angle)
+                _apply_local_cov(cov, turn, index)
+            keep, cross, var, cov = _condition_cov(cov, mode)
+            self.steps.append((event, turn, index, keep, cross, var, np.sqrt(var)))
+            mode_of = {node: m - (m > mode) for node, m in mode_of.items()}
+        self.output = None
+        if outputs is not None:
+            if len(mode_of) != len(outputs):
+                raise ScheduleError("schedule left a dangling unmeasured node")
+            wires = [mode_of[node] for node in outputs]
+            self.output = wires + [len(wires) + m for m in wires]
+            cov = cov[np.ix_(self.output, self.output)]
+            mode_of = {node: i for i, node in enumerate(outputs)}
+        self.cov, self.mode_of = cov, mode_of
+
+    def walk(self, mean: np.ndarray, outcomes: dict[int, float], rng=None, pins=None):
+        """Mean after every event, from ``mean`` (left unmodified),
+        recording each outcome into ``outcomes``.  Links draw their kicks
+        from ``rng`` (none without one); pinned nodes condition on
+        ``pins`` and draw nothing, the rest sample from ``rng``."""
+        pins = pins or {}
+        mean = np.array(mean, dtype=float)
+        for entry, op, index, keep, cross, var, scale in self.steps:
+            if op is not None:
+                _apply_local_mean(mean, op, index)
+            if entry is None:
+                if rng is not None:
+                    _add_link_kicks(mean, index[:2], self.link_noise, rng)
+                continue
+            mu = mean[index[0]]
+            pinned = pins.get(entry.node)
+            if pinned is not None:
+                raw = float(entry.basis.raw(pinned))
+            elif rng is None:
+                raise MeasurementError("sampling a homodyne outcome requires rng")
+            else:
+                raw = float(rng.normal(mu, scale))
+            mean = _condition_mean(mean, keep, cross, mu, var, raw)
+            outcomes[entry.node] = entry.basis.record(raw) if pinned is None else pinned
+        return mean if self.output is None else mean[self.output]
+
+
+def _register_plan(
+    graph: ClusterGraph,
+    events,
+    source: GaussianState | None = None,
+    source_nodes: tuple[int, ...] = (),
+    link_noise: tuple[float, float] = (0.0, 0.0),
+    outputs=None,
+) -> RegisterPlan:
+    """``events`` planned from the unlinked register of ``graph``: mode k
+    is the k-th node, with mode i of ``source`` on node ``source_nodes[i]``
+    and squeezed vacua elsewhere."""
     n = len(graph.nodes)
     if n == 0:
         raise InvalidOperationError("cluster graph has no nodes")
+    if source is not None and source.n_modes != len(source_nodes):
+        raise InvalidOperationError(
+            f"input has {source.n_modes} modes for {len(source_nodes)} source nodes"
+        )
     mean = np.zeros(2 * n)
     cov = np.zeros((2 * n, 2 * n))
     placed = [] if source is None else [graph.mode_index(i) for i in source_nodes]
@@ -129,17 +231,7 @@ def _unlinked(graph: ClusterGraph, source: GaussianState | None = None, source_n
         index = placed + [n + k for k in placed]
         mean[index] = source.mean
         cov[np.ix_(index, index)] = source.cov
-    return mean, cov
-
-
-def _links(graph: ClusterGraph) -> list[tuple[SymplecticAffine, list[int]]]:
-    """Each edge's controlled-phase map and the quadratures it acts on."""
-    n, modes = len(graph.nodes), graph._modes
-    maps = {weight: controlled_phase(weight) for _, _, weight in graph.edges}
-    return [
-        (maps[weight], [modes[a], modes[b], n + modes[a], n + modes[b]])
-        for a, b, weight in graph.edges
-    ]
+    return RegisterPlan(cov, events, graph._modes, outputs, link_noise, mean)
 
 
 def _linked_register(
@@ -149,31 +241,12 @@ def _linked_register(
     link_noise: tuple[float, float] = (0.0, 0.0),
     rng: np.random.Generator | None = None,
 ) -> GaussianState:
-    """The linked register of ``graph``, built in one allocation.
-
-    Mode k is the k-th entry of ``graph.nodes``; the register starts as
-    :func:`_unlinked`.  Each edge's controlled-phase link then updates
-    its two modes' rows and columns in place, so the build costs O(n^2)
-    for the allocation plus O(n) per edge.  Each link's ``link_noise``
-    is added to both its ends right after it
-    (:func:`~cvcluster.gaussian._add_link_noise`).
-    """
-    mean, cov = _unlinked(graph, source, source_nodes)
-    for link, index in _links(graph):
-        _apply_local(mean, cov, link, index)
-        _add_link_noise(mean, cov, index[:2], link_noise, rng)
-    return GaussianState(mean, cov, validate=False)
-
-
-def _relink_mean(mean: np.ndarray, links, link_noise: tuple[float, float], rng) -> np.ndarray:
-    """Mean half of linking, on a copy of the unlinked ``mean``: each of
-    ``links`` in turn, then its noise kicks from ``rng``.  The covariance
-    is the same in every trial, so this is all a trial has to replay."""
-    mean = mean.copy()
-    for link, index in links:
-        _apply_local_mean(mean, link, index)
-        _add_link_kicks(mean, index[:2], link_noise, rng)
-    return mean
+    """The register of ``graph`` with its edges linked in order: a
+    links-only plan walked once, drawing each link's kicks from ``rng``
+    (none without one).  Each link updates its two modes' rows and
+    columns in place, so the build costs O(n^2) plus O(n) per edge."""
+    plan = _register_plan(graph, graph.edges, source, source_nodes, link_noise)
+    return GaussianState(plan.walk(plan.mean, {}, rng), plan.cov, validate=False)
 
 
 def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> NullifierReport:

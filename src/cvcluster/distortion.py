@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidOperationError, InvalidStateError
-from .gaussian import GaussianState, _add_link_noise, apply_affine
+from .gaussian import GaussianState, _add_link_kicks, _add_link_variance, apply_affine
 from .mbqc import (
     DEFAULT_ANCILLA_OMEGA,
     CompiledProgram,
@@ -314,7 +314,10 @@ def apply_qnd_noise(
     vq, vp = budget.link_variances()
     out = GaussianState(state.mean.copy(), state.cov.copy(), validate=False)
     modes = range(state.n_modes) if modes is None else modes
-    _add_link_noise(out.mean, out.cov, modes, (links * vq, links * vp), rng)
+    noise = (links * vq, links * vp)
+    _add_link_variance(out.cov, modes, noise)
+    if rng is not None:
+        _add_link_kicks(out.mean, modes, noise, rng)
     return out
 
 

@@ -7,16 +7,17 @@ measured register's frame is resolved and the output is compared with
 the compiled program's intended map.
 
 Computed once per call: the compiled program with every matrix of its
-byproduct frame, the prepared register's covariance (link noise adds
-fixed variance and moves only the mean), the schedule plan
-(:class:`~cvcluster.mbqc.SchedulePlan`), the intended output, and the
-covariance halves of frame resolution and fidelity (the inverse frame
-matrix, the resolved covariance, the determinants, the pure-or-mixed
-decision and the mixed formula's factor).  Computed per trial: the
-links' mean halves and kicks (with link noise), the plan's mean walk,
-the frame's shift chain, the resolved mean and the fidelity's
-exponential, in the arithmetic of measuring and scoring each trial from
-scratch, bit for bit.
+byproduct frame, the register plan (:class:`~cvcluster.cluster.RegisterPlan`:
+the covariance walked once through the links, whose noise adds fixed
+variance and moves only the mean, and the readouts, with every leading
+noiseless link folded into the starting mean), the intended output, and
+the covariance halves of frame resolution and fidelity (the inverse
+frame matrix, the resolved covariance, the determinants, the
+pure-or-mixed decision and the mixed formula's factor).  Computed per
+trial: the plan's mean walk (each remaining link's map and noise kicks,
+each readout's rotation and conditioning), the frame's shift chain, the
+resolved mean and the fidelity's exponential, in the arithmetic of
+linking, measuring and scoring each trial from scratch, bit for bit.
 
 All sampling flows from a master seed through per-trial substreams, so
 any trial can be replayed exactly from its index, and any recorded
@@ -31,12 +32,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cluster import ClusterGraph, _linked_register, _links, _relink_mean, _unlinked, attach
+from .cluster import RegisterPlan, _register_plan
 from .distortion import NoiseBudget, apply_input_noise
 from .exceptions import ConfigError, InvalidOperationError
 from .gaussian import (
     GaussianState,
-    _add_link_noise,
     _fidelity_cov,
     _fidelity_mean,
     apply_affine,
@@ -49,15 +49,11 @@ from .mbqc import (
     CompiledProgram,
     GateProgram,
     Instruction,
-    SchedulePlan,
     _frame_shift,
     _resolution_cov,
     _resolution_mean,
     compile_program,
-    plan_schedule,
-    prepare_cluster_state,
 )
-from .symplectic import _embed_index, controlled_phase
 
 DEFAULT_WIGNER_RANGE = 5.0
 DEFAULT_WIGNER_POINTS = 101
@@ -152,29 +148,38 @@ class _Scoring:
 
 
 class _PlannedProgram:
-    """A compiled program on one input, prepared and planned once.
-
-    ``prepare_cluster_state`` runs once, without an rng: its covariance
-    is every trial's and, without link noise, so is its mean.  With it,
-    each trial replays the links and kicks from the unlinked mean.  The
-    plan's output covariance is scored once (:class:`_Scoring`).
-    """
+    """A compiled program on one input, planned once: the graph's links
+    and then its schedule's readouts on the unlinked register
+    (:class:`~cvcluster.cluster.RegisterPlan`).  The plan's output
+    covariance is scored once (:class:`_Scoring`); a trial walks only
+    the mean."""
 
     def __init__(self, compiled: CompiledProgram, source: GaussianState, link_noise=(0.0, 0.0)):
-        prepared = prepare_cluster_state(compiled, source, link_noise)
-        self.link_noise = link_noise
-        self.plan = plan_schedule(prepared.cov, compiled)
+        events = compiled.graph.edges + list(compiled.schedule.entries)
+        self.plan = _register_plan(
+            compiled.graph, events, source, compiled.head_nodes, link_noise, compiled.tail_nodes
+        )
         self.target = apply_affine(source, compiled.intended)
         self.scoring = _Scoring(compiled, self.plan.cov, self.target)
-        self.mean, self.links = prepared.mean, []
-        if any(link_noise):
-            self.mean, _ = _unlinked(compiled.graph, source, compiled.head_nodes)
-            self.links = _links(compiled.graph)
 
     def trial(self, rng, pins: dict[int, float] | None = None, index: int = 0) -> TrialRecord:
-        mean, outcomes = _relink_mean(self.mean, self.links, self.link_noise, rng), {}
-        mean = self.plan.walk(mean, outcomes, rng, pins)
+        outcomes: dict[int, float] = {}
+        mean = self.plan.walk(self.plan.mean, outcomes, rng, pins)
         return self.scoring.record(outcomes, mean, index)
+
+
+def _reject_unread(config: ExperimentConfig, keys, command: str) -> None:
+    """Raise :class:`ConfigError` naming each of ``keys`` that ``config``
+    sets and ``command`` would never read."""
+    given = {
+        "pins": bool(config.pins),
+        "omega_overrides": bool(config.omega_overrides),
+        "noise": not config.budget.is_zero,
+        "input_mean": config.input_mean is not None,
+    }
+    unread = [key for key in keys if given[key]]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
 
 
 def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
@@ -266,36 +271,31 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     survive.  Rejected trials are counted, not retried.  Both run on the
     compiled chain of Fourier steps, whose node ``k`` is chain node
     ``k + 1``: the straight-through arm is a program trial on it, and
-    the mini-cluster is the chain without its head node, measured with
-    the chain's schedule entries.  Records use the 1-based chain ids.
+    the mini arm is the chain register with the input's link planned
+    after the inner readouts.  Records use the 1-based chain ids.  The
+    chain reads no ``pins`` or ``omega_overrides``; a config that sets
+    them raises :class:`ConfigError`.
     """
+    _reject_unread(config, ("pins", "omega_overrides"), "postselect")
     chain = compile_program(
         GateProgram(1, (Instruction("f", (0,)),) * (config.chain_nodes - 1)),
         config.omega,
     )
-    head, first = chain.graph.node_ids[:2]
-    entries = chain.schedule.entries
-    attach_entries, inner_entries = entries[:2], entries[2:]
-    mini_graph = ClusterGraph(chain.graph.nodes[1:], chain.graph.edges[1:])
+    edges, entries = chain.graph.edges, list(chain.schedule.entries)
     source = _input_state(config, 1)
     link_noise = config.budget.link_variances()
 
     # strategy A: full chain, measure every node before the output
     baseline = _PlannedProgram(chain, source, link_noise)
-    # strategy B: detached mini-cluster, pre-measure, select, attach.  The
-    # inner readouts are planned now, the attached ones and their scoring
-    # at the first accepted trial; each trial replays means from the
-    # unlinked zeros.
-    mini = _linked_register(mini_graph, link_noise=link_noise)
-    mini_links, unlinked = _links(mini_graph), np.zeros_like(mini.mean)
-    inner = SchedulePlan(
-        mini.cov, inner_entries, {node: i for i, node in enumerate(mini_graph.node_ids)}
+    # strategy B: the chain with the input's link held back: link and read
+    # the inner nodes, select, then link the input and read nodes 1 and 2
+    inner = _register_plan(
+        chain.graph, edges[1:] + entries[2:], source, chain.head_nodes, link_noise
     )
-    k = len(inner.mode_of)
-    ends = (0, inner.mode_of[first] + 1)  # the attach link, source mode first
-    attach_link = [(controlled_phase(1.0), _embed_index(k + 1, 2, ends))]
-    attached: SchedulePlan | None = None
-    scoring: _Scoring | None = None
+    attached = RegisterPlan(
+        inner.cov, edges[:1] + entries[:2], inner.mode_of, chain.tail_nodes, link_noise
+    )
+    scoring = _Scoring(chain, attached.cov, baseline.target)
 
     baseline_records: list[TrialRecord] = []
     mini_records: list[TrialRecord] = []
@@ -307,7 +307,7 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
 
         rng = trial_rng(config.seed, trial, arm=1)
         outcomes: dict[int, float] = {}
-        mean = inner.walk(_relink_mean(unlinked, mini_links, link_noise, rng), outcomes, rng)
+        mean = inner.walk(inner.mean, outcomes, rng)
         magnitude = max(abs(s) for s in outcomes.values())
         inner_magnitudes[trial] = magnitude
         if magnitude > config.window:
@@ -315,16 +315,7 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
                 _shifted(TrialRecord(trial, outcomes, False, None, None, None))
             )
             continue
-        if attached is None:
-            register = GaussianState(mean, inner.cov, validate=False)  # inner's survivors
-            joined = attach(source, register, [(0, ends[1] - 1)])
-            _add_link_noise(joined.mean, joined.cov, ends, link_noise)
-            mode_of = {node: m + 1 for node, m in inner.mode_of.items()}
-            attached = SchedulePlan(joined.cov, attach_entries, {head: 0, **mode_of})
-            scoring = _Scoring(chain, attached.cov, baseline.target)
-        # the mean of ``attach(source, register, ...)``, then the link's kicks
-        mean = np.concatenate([source.mean[:1], mean[:k], source.mean[1:], mean[k:]])
-        mean = attached.walk(_relink_mean(mean, attach_link, link_noise, rng), outcomes, rng)
+        mean = attached.walk(mean, outcomes, rng)
         mini_records.append(_shifted(scoring.record(outcomes, mean, trial)))
 
     curve_grid = np.linspace(0.05, 5.0, 25)

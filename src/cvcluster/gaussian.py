@@ -171,7 +171,8 @@ def _apply_local(
 
 
 def _add_link_variance(cov: np.ndarray, modes, link_noise: tuple[float, float]) -> None:
-    """Covariance half of :func:`_add_link_noise`."""
+    """Covariance half of one link's noise ``(vq, vp)``: added in place to
+    each listed mode's position and momentum variances."""
     vq, vp = link_noise
     n = cov.shape[0] // 2
     for mode in modes:
@@ -180,7 +181,8 @@ def _add_link_variance(cov: np.ndarray, modes, link_noise: tuple[float, float]) 
 
 
 def _add_link_kicks(mean: np.ndarray, modes, link_noise: tuple[float, float], rng) -> None:
-    """Mean half of :func:`_add_link_noise` (nothing for zero noise)."""
+    """Mean half of one link's noise: matching kicks drawn from ``rng``
+    mode by mode (nothing for zero noise)."""
     vq, vp = link_noise
     if vq == 0.0 and vp == 0.0:
         return
@@ -188,21 +190,6 @@ def _add_link_kicks(mean: np.ndarray, modes, link_noise: tuple[float, float], rn
     for mode in modes:
         mean[mode] += rng.normal(0.0, np.sqrt(vq)) if vq else 0.0
         mean[n + mode] += rng.normal(0.0, np.sqrt(vp)) if vp else 0.0
-
-
-def _add_link_noise(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    modes,
-    link_noise: tuple[float, float],
-    rng: np.random.Generator | None = None,
-) -> None:
-    """Add one link's noise ``(vq, vp)`` in place to each listed mode's
-    position and momentum variances, with matching mean kicks drawn from
-    ``rng`` mode by mode (none without one; none at all for zero noise)."""
-    _add_link_variance(cov, modes, link_noise)
-    if rng is not None:
-        _add_link_kicks(mean, modes, link_noise, rng)
 
 
 def apply_affine(

@@ -28,22 +28,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import ClusterGraph, _linked_register
-from .exceptions import (
-    FrameError,
-    InvalidOperationError,
-    MeasurementError,
-    ScheduleError,
-)
+from .cluster import ClusterGraph, RegisterPlan, _linked_register
+from .exceptions import FrameError, InvalidOperationError, ScheduleError
 from .gaussian import GaussianState, vacuum
 from .gaussian import homodyne  # noqa: F401 - unused; the benchmark tracer rebinds it here
-from .gaussian import _apply_local_cov, _apply_local_mean, _condition_cov, _condition_mean
 from .symplectic import (
     SymplecticAffine,
     controlled_phase,
     fourier,
     quadratic_phase,
-    rotation,
     shift_p,
     shift_q,
 )
@@ -422,13 +415,8 @@ def prepare_cluster_state(
     noise ``(vq, vp)`` of ``NoiseBudget.link_variances()`` lands on both
     ends of each link right after it, before later links spread it, with
     mean kicks drawn from ``rng``."""
-    n_wires = compiled.program.n_modes
     if input_state is None:
-        input_state = vacuum(n_wires)
-    if input_state.n_modes != n_wires:
-        raise InvalidOperationError(
-            f"input has {input_state.n_modes} modes, program has {n_wires}"
-        )
+        input_state = vacuum(compiled.program.n_modes)
     return _linked_register(
         compiled.graph, input_state, compiled.head_nodes, link_noise, rng
     )
@@ -537,68 +525,7 @@ def byproduct_frame(
     return ByproductFrame(SymplecticAffine._derived(matrix, _frame_shift(compiled, outcomes)))
 
 
-class SchedulePlan:
-    """Homodyne readouts planned once on a register's covariance.
-
-    On a Gaussian register the covariance after each readout does not
-    depend on the outcomes; only the mean moves, affinely.  Building a
-    plan walks ``cov`` once through ``entries`` (the node of each entry
-    sits at mode ``mode_of[node]``), checking ``CONDITIONING_FLOOR`` and
-    keeping each readout's rotation, kept quadratures, cross column and
-    conditional variance.  :meth:`walk` replays only the mean half of
-    each readout, with the arithmetic and the normal draws of
-    :func:`~cvcluster.gaussian.homodyne`, so a trial costs O(n) per
-    readout and gives the bits of measuring step by step.
-
-    The survivors are then ``outputs`` in that order (all of them, in
-    register order, by default), with covariance ``cov`` and node-to-mode
-    map ``mode_of``.
-    """
-
-    def __init__(self, cov: np.ndarray, entries, mode_of: dict[int, int], outputs=None):
-        cov, mode_of, self.readouts = np.array(cov, dtype=float), dict(mode_of), []
-        for entry in entries:
-            mode = mode_of.pop(entry.node)
-            turn, index = None, [mode, cov.shape[0] // 2 + mode]
-            if entry.basis.engine_angle != 0.0:
-                turn = rotation(-entry.basis.engine_angle)
-                _apply_local_cov(cov, turn, index)
-            keep, cross, var, cov = _condition_cov(cov, mode)
-            self.readouts.append((entry, turn, index, keep, cross, var, np.sqrt(var)))
-            mode_of = {node: m - (m > mode) for node, m in mode_of.items()}
-        self.output = None
-        if outputs is not None:
-            if len(mode_of) != len(outputs):
-                raise ScheduleError("schedule left a dangling unmeasured node")
-            wires = [mode_of[node] for node in outputs]
-            self.output = wires + [len(wires) + m for m in wires]
-            cov = cov[np.ix_(self.output, self.output)]
-            mode_of = {node: i for i, node in enumerate(outputs)}
-        self.cov, self.mode_of = cov, mode_of
-
-    def walk(self, mean: np.ndarray, outcomes: dict[int, float], rng=None, pins=None):
-        """Mean after every readout, from ``mean`` (left unmodified),
-        recording each outcome into ``outcomes``; pinned nodes condition
-        on ``pins`` and draw nothing, the rest sample from ``rng``."""
-        pins = pins or {}
-        mean = np.array(mean, dtype=float)
-        for entry, turn, index, keep, cross, var, scale in self.readouts:
-            if turn is not None:
-                _apply_local_mean(mean, turn, index)
-            mu = mean[index[0]]
-            pinned = pins.get(entry.node)
-            if pinned is not None:
-                raw = float(entry.basis.raw(pinned))
-            elif rng is None:
-                raise MeasurementError("sampling a homodyne outcome requires rng")
-            else:
-                raw = float(rng.normal(mu, scale))
-            mean = _condition_mean(mean, keep, cross, mu, var, raw)
-            outcomes[entry.node] = entry.basis.record(raw) if pinned is None else pinned
-        return mean if self.output is None else mean[self.output]
-
-
-def plan_schedule(cov: np.ndarray, compiled: CompiledProgram, order=None) -> SchedulePlan:
+def plan_schedule(cov: np.ndarray, compiled: CompiledProgram, order=None) -> RegisterPlan:
     """Plan a compiled program's readouts in ``order`` (canonical by
     default) on a prepared register's covariance; the outputs are the
     wire tails in wire order."""
@@ -611,9 +538,8 @@ def plan_schedule(cov: np.ndarray, compiled: CompiledProgram, order=None) -> Sch
         raise ScheduleError(
             f"register has {cov.shape[0] // 2} modes, graph has {len(nodes)} nodes"
         )
-    mode_of = {node: i for i, node in enumerate(nodes)}
     entries = [schedule.entries[i] for i in order]
-    return SchedulePlan(cov, entries, mode_of, compiled.tail_nodes)
+    return RegisterPlan(cov, entries, compiled.graph._modes, compiled.tail_nodes)
 
 
 def run_schedule(

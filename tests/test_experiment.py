@@ -356,13 +356,29 @@ def _reference_mini_records(config: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-@pytest.mark.parametrize("budget", [NoiseBudget(), NOISY])
-@pytest.mark.parametrize("window", [0.5, math.inf])
-def test_mini_arm_matches_the_step_by_step_procedure(budget, window):
-    config = ExperimentConfig(omega=0.3, window=window, trials=160, seed=4, budget=budget)
+@pytest.mark.parametrize(
+    "window,budget,chain_nodes",
+    [
+        # the default five-node chain's cases carry no length suffix; the
+        # finite window accepts some trials but not all at each length
+        pytest.param(
+            window,
+            budget,
+            nodes,
+            id=f"{window}-budget{b}" + ("" if nodes == 5 else f"-{nodes}_nodes"),
+        )
+        for nodes, narrow in ((5, 0.5), (4, 0.5), (7, 2.0))
+        for window in (narrow, math.inf)
+        for b, budget in enumerate((NoiseBudget(), NOISY))
+    ],
+)
+def test_mini_arm_matches_the_step_by_step_procedure(budget, window, chain_nodes):
+    config = ExperimentConfig(
+        omega=0.3, window=window, trials=160, seed=4, budget=budget, chain_nodes=chain_nodes
+    )
     mini = run_postselection_experiment(config).mini_records
     expected = _reference_mini_records(config)
-    if window == 0.5:
+    if math.isfinite(window):
         assert {record.accepted for record in expected} == {True, False}
     for record, reference in zip(mini, expected, strict=True):
         assert record == reference

@@ -15,6 +15,7 @@ from cvcluster.exceptions import (
     ScheduleError,
 )
 from cvcluster.cluster import nullifier_variances
+from cvcluster.distortion import NoiseBudget, apply_qnd_noise
 from cvcluster.gaussian import (
     CONDITIONING_FLOOR,
     GaussianState,
@@ -333,6 +334,47 @@ def test_prepare_rejects_wrong_input_width():
     compiled = compile_program(GateProgram(2, (Instruction("f", (0,)),)))
     with pytest.raises(InvalidOperationError):
         prepare_cluster_state(compiled, vacuum(1))
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        NoiseBudget(),
+        NoiseBudget(per_link_variance=0.01),
+        NoiseBudget(per_link_variance_q=0.02, per_link_variance_p=0.0),
+        NoiseBudget(per_link_variance_q=0.0, per_link_variance_p=0.03),
+    ],
+    ids=["noiseless", "isotropic", "q_only", "p_only"],
+)
+@pytest.mark.parametrize("sampled", [True, False], ids=["rng", "no_rng"])
+def test_prepared_register_links_each_edge_then_adds_its_noise(budget, sampled):
+    program = GateProgram(
+        2,
+        (
+            Instruction("cz", (0, 1), (0.7,)),
+            Instruction("p", (0,), (0.5,)),
+            Instruction("f", (1,)),
+            Instruction("cz", (0, 1)),
+        ),
+    )
+    compiled = compile_program(program, 0.3, {1: 0.5})
+    graph = compiled.graph
+    source = coherent(0.4, -0.1).tensor(coherent(-0.2, 0.3))
+    rng = np.random.default_rng(3) if sampled else None
+    register = prepare_cluster_state(compiled, source, budget.link_variances(), rng)
+    expected_rng = np.random.default_rng(3) if sampled else None
+    expected = source
+    for _, width in graph.nodes[2:]:
+        expected = expected.tensor(squeezed_vacuum_p(width))
+    for a, b, weight in graph.edges:
+        modes = [graph.mode_index(a), graph.mode_index(b)]
+        expected = apply_affine(expected, controlled_phase(weight), modes)
+        expected = apply_qnd_noise(expected, 1, budget, expected_rng, modes)
+    # repr tells every bit of a float apart, the sign of a zero included
+    assert repr(register.mean.tolist()) == repr(expected.mean.tolist())
+    assert repr(register.cov.tolist()) == repr(expected.cov.tolist())
+    if sampled:
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 def test_frame_resolves_exactly_once():

@@ -464,6 +464,37 @@ def test_cli_sweep_prints_and_writes_the_table(tmp_path, program_config, capsys)
     assert len(rows) == 6
 
 
+def test_cli_postselect_rejects_the_keys_it_never_reads(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "trials": 3, "omega_overrides": {"0": 0.5}}))
+    out = tmp_path / "out"
+    flags = ["--config", str(path), "--pin", "3=0.5", "--out", str(out)]
+    assert main(["postselect", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "postselect does not read pins, omega_overrides" in err
+    assert not out.exists()
+
+
+def test_cli_sweep_rejects_the_keys_it_never_reads(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    payload = {
+        "schema": 1,
+        "program": sample_program_payload(),
+        "omega_overrides": {"0": 0.5},
+        "noise": {"per_link_variance": 0.01},
+        "input_mean": [0.5, -0.3],
+    }
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    flags = ["--config", str(path), "--pin", "0=0.5", "--omegas", "0.3", "--out", str(out)]
+    assert main(["sweep", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "sweep does not read pins, omega_overrides, noise, input_mean" in err
+    assert not out.exists()
+
+
 def test_cli_validate_reports_check_lines(monkeypatch, capsys):
     from cvcluster.validate import CheckResult
 
