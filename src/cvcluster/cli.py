@@ -157,6 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_postselect(args: argparse.Namespace) -> int:
     config, digest = _effective_config(args)
+    _reject_unread(config, ("program",), "postselect")
     summary = run_postselection_experiment(config)
     print(
         f"config {digest[:12]} seed {summary.seed} trials {summary.trials} "
@@ -177,22 +178,11 @@ def cmd_postselect(args: argparse.Namespace) -> int:
     out = _out_path(args)
     if out is not None:
         header = {"window": summary.window, "omega": summary.omega}
-        _write_records(
-            out,
-            "baseline",
-            digest,
-            config.seed,
-            summary.baseline_records,
-            {"strategy": "baseline", **header},
-        )
-        _write_records(
-            out,
-            "mini",
-            digest,
-            config.seed,
-            summary.mini_records,
-            {"strategy": "mini", **header},
-        )
+        for stem, records in (
+            ("baseline", summary.baseline_records),
+            ("mini", summary.mini_records),
+        ):
+            _write_records(out, stem, digest, config.seed, records, {"strategy": stem, **header})
         write_csv(
             out / "acceptance_curve.csv",
             digest,
@@ -234,6 +224,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if config.program is None:
         raise ConfigError("sweep needs a config with a program")
     _reject_unread(config, ("pins", "omega_overrides", "noise", "input_mean"), "sweep")
+    if args.omega is not None:
+        raise ConfigError("sweep takes its widths from --omegas, not --omega")
     omegas = _parse_floats(args.omegas, "--omegas")
     sample = config.trials > 1
     rng = np.random.default_rng(config.seed) if sample else None

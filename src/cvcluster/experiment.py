@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.window >= 0:
             raise ConfigError("post-selection window must be >= 0")
         if not (np.isfinite(self.omega) and self.omega > 0):
@@ -172,6 +174,7 @@ def _reject_unread(config: ExperimentConfig, keys, command: str) -> None:
     """Raise :class:`ConfigError` naming each of ``keys`` that ``config``
     sets and ``command`` would never read."""
     given = {
+        "program": config.program is not None,
         "pins": bool(config.pins),
         "omega_overrides": bool(config.omega_overrides),
         "noise": not config.budget.is_zero,

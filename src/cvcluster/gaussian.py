@@ -10,6 +10,7 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -324,13 +325,25 @@ def _gaussian_exponential(total: np.ndarray, delta: np.ndarray):
     return np.exp(-0.5 * float(delta @ np.linalg.solve(total, delta)))
 
 
+def _principal_root(matrix: np.ndarray) -> np.ndarray:
+    """``sqrtm``, or the eigendecomposition's root where ``sqrtm`` warns, as on
+    a mixed state's singular argument (some symplectic eigenvalues at 1/2)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            return scipy.linalg.sqrtm(matrix)
+        except scipy.linalg.LinAlgWarning:
+            values, vectors = np.linalg.eig(matrix)
+            return (vectors * np.sqrt(values.astype(complex))) @ np.linalg.inv(vectors)
+
+
 def _mixed_fidelity_factor(cov_a: np.ndarray, cov_b: np.ndarray, total: np.ndarray):
     """Covariance-only factor of :func:`_mixed_fidelity`."""
     form = symplectic_form(cov_a.shape[0] // 2)
     eye = np.eye(form.shape[0])
     aux = form.T @ np.linalg.solve(total, form / 4.0 + cov_b @ form @ cov_a)
     inv = np.linalg.inv(aux @ form)
-    root = scipy.linalg.sqrtm(eye + inv @ inv / 4.0)
+    root = _principal_root(eye + inv @ inv / 4.0)
     f_tot4 = np.linalg.det(2.0 * (root + eye) @ aux).real
     return np.sqrt(f_tot4 / np.linalg.det(total))
 

@@ -43,13 +43,13 @@ from .symplectic import (
 
 DEFAULT_ANCILLA_OMEGA = 0.1
 
-# kind -> (target count, allowed parameter counts)
-_ARITY = {
-    "x": (1, (1,)),
-    "z": (1, (1,)),
-    "f": (1, (0,)),
-    "p": (1, (1,)),
-    "cz": (2, (0, 1)),
+# kind -> (target count, allowed parameter counts, local map of the parameters)
+_KINDS = {
+    "x": (1, (1,), shift_q),
+    "z": (1, (1,), shift_p),
+    "f": (1, (0,), fourier),
+    "p": (1, (1,), quadratic_phase),
+    "cz": (2, (0, 1), controlled_phase),
 }
 
 
@@ -62,11 +62,11 @@ class Instruction:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _ARITY:
+        if self.kind not in _KINDS:
             raise InvalidOperationError(f"unknown instruction kind {self.kind!r}")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        n_targets, param_counts = _ARITY[self.kind]
+        n_targets, param_counts, _ = _KINDS[self.kind]
         if len(self.targets) != n_targets:
             raise InvalidOperationError(
                 f"{self.kind} takes {n_targets} target(s), got {len(self.targets)}"
@@ -101,18 +101,7 @@ class GateProgram:
 
 def instruction_affine(op: Instruction, n_modes: int) -> SymplecticAffine:
     """Intended phase-space action of an instruction, embedded."""
-    if op.kind == "x":
-        local = shift_q(op.params[0])
-    elif op.kind == "z":
-        local = shift_p(op.params[0])
-    elif op.kind == "f":
-        local = fourier()
-    elif op.kind == "p":
-        local = quadratic_phase(op.params[0])
-    else:  # cz
-        g = op.params[0] if op.params else 1.0
-        local = controlled_phase(g)
-    return local.embed(n_modes, list(op.targets))
+    return _KINDS[op.kind][2](*op.params).embed(n_modes, list(op.targets))
 
 
 def _composed(maps, n_modes: int) -> SymplecticAffine:
@@ -172,22 +161,20 @@ def basis_for_diagonal(kind: str, param: float = 0.0) -> Basis:
     if kind == "z":
         return Basis(offset=param)
     if kind == "p":
-        t = param
-        return Basis(theta=math.atan(-t), rescale=1.0 / math.sqrt(1.0 + t * t))
+        return Basis(theta=math.atan(-param), rescale=1.0 / math.sqrt(1.0 + param * param))
     raise InvalidOperationError(f"gate {kind!r} is not diagonal in position")
 
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One compiled step: what is measured, where the state moves, and
-    which instruction the step realizes."""
+    """One compiled step: the instruction it realizes, its wires, and the
+    nodes measured on them with their bases and the fresh nodes' widths."""
 
     index: int
     kind: str
     instruction: Instruction
     wires: tuple[int, ...]
     measured_nodes: tuple[int, ...]
-    output_nodes: tuple[int, ...]
     bases: tuple[Basis, ...]
     omegas: tuple[float, ...]
 
@@ -220,9 +207,6 @@ class MeasurementSchedule:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def canonical_order(self) -> tuple[int, ...]:
-        return tuple(range(len(self.entries)))
 
     def validate_order(self, order) -> tuple[int, ...]:
         """Check that an order is a permutation of the entry indices."""
@@ -308,78 +292,42 @@ def compile_program(
 ) -> CompiledProgram:
     """Lower a program to a cluster graph and homodyne schedule.
 
-    Each logical mode starts at a head node carrying the input; every
-    Gaussian gate consumes the wire tail with one measurement (two for
-    a cross-wire interaction) and extends the wire by fresh squeezed
-    nodes whose width is ``omega`` unless overridden per instruction
-    index via ``omega_overrides``.  Position displacements produce no
-    measurement; they are folded into frame bookkeeping.  Each
-    instruction's map is built once here, and from those the intended
-    map and every matrix of the byproduct frame, which no outcome moves;
-    a trial's frame replays only the shifts.
+    Each logical mode starts at a head node carrying the input.  One
+    loop lowers every instruction over its targets: a position shift
+    ``x`` measures nothing and is folded into frame bookkeeping; any
+    other gate measures each target's tail in the gate's basis
+    (:func:`basis_for_diagonal`, plain for ``cz``) and advances the wire
+    by one fresh squeezed node linked to the old tail with weight 1, of
+    width ``omega`` unless overridden per instruction index via
+    ``omega_overrides``; ``cz`` then links the two measured tails with
+    its weight.  Each instruction's map is built once here, and from
+    those the intended map and every matrix of the byproduct frame,
+    which no outcome moves; a trial's frame replays only the shifts.
     """
     overrides = omega_overrides or {}
-    nodes: list[tuple[int, float]] = []
-    edges: list[tuple[int, int, float]] = []
     heads = tuple(range(program.n_modes))
-    for head in heads:
-        nodes.append((head, 1.0))
+    nodes: list[tuple[int, float]] = [(head, 1.0) for head in heads]
+    edges: list[tuple[int, int, float]] = []
     tails = list(heads)
-    next_id = program.n_modes
     steps: list[StepPlan] = []
-
-    def fresh(width: float) -> int:
-        nonlocal next_id
-        nodes.append((next_id, width))
-        next_id += 1
-        return next_id - 1
-
     for index, op in enumerate(program.ops):
         width = float(overrides.get(index, omega))
-        if op.kind == "x":
-            steps.append(
-                StepPlan(index, "classical", op, op.targets, (), (), (), ())
-            )
-            continue
+        wires = () if op.kind == "x" else op.targets  # a shift measures nothing
+        measured = tuple(tails[wire] for wire in wires)
+        for wire in wires:  # advance the wire by one fresh node
+            node = len(nodes)
+            nodes.append((node, width))
+            edges.append((tails[wire], node, 1.0))
+            tails[wire] = node
         if op.kind == "cz":
-            wire_a, wire_b = op.targets
-            old_a, old_b = tails[wire_a], tails[wire_b]
-            new_a, new_b = fresh(width), fresh(width)
-            g = op.params[0] if op.params else 1.0
-            edges.extend([(old_a, new_a, 1.0), (old_b, new_b, 1.0), (old_a, old_b, g)])
-            steps.append(
-                StepPlan(
-                    index,
-                    "cz",
-                    op,
-                    (wire_a, wire_b),
-                    (old_a, old_b),
-                    (new_a, new_b),
-                    (Basis(), Basis()),
-                    (width, width),
-                )
-            )
-            tails[wire_a], tails[wire_b] = new_a, new_b
-            continue
-        wire = op.targets[0]
-        old = tails[wire]
-        # single-mode Gaussian gate lowered to one teleport step
-        new = fresh(width)
-        edges.append((old, new, 1.0))
-        param = op.params[0] if op.params else 0.0
+            edges.append((*measured, op.params[0] if op.params else 1.0))
+            bases = (Basis(), Basis())
+        else:  # one teleport, or none for a shift
+            bases = (basis_for_diagonal(op.kind, *op.params),) if wires else ()
+        kind = "cz" if op.kind == "cz" else "teleport" if wires else "classical"
         steps.append(
-            StepPlan(
-                index,
-                "teleport",
-                op,
-                (wire,),
-                (old,),
-                (new,),
-                (basis_for_diagonal("identity" if op.kind == "f" else op.kind, param),),
-                (width,),
-            )
+            StepPlan(index, kind, op, op.targets, measured, bases, (width,) * len(wires))
         )
-        tails[wire] = new
 
     graph = ClusterGraph(nodes=nodes, edges=edges)
     schedule = MeasurementSchedule(steps)
@@ -530,9 +478,7 @@ def plan_schedule(cov: np.ndarray, compiled: CompiledProgram, order=None) -> Reg
     default) on a prepared register's covariance; the outputs are the
     wire tails in wire order."""
     schedule = compiled.schedule
-    order = (
-        schedule.canonical_order() if order is None else schedule.validate_order(order)
-    )
+    order = range(len(schedule)) if order is None else schedule.validate_order(order)
     nodes = compiled.graph.node_ids
     if cov.shape[0] != 2 * len(nodes):
         raise ScheduleError(

@@ -77,6 +77,8 @@ def test_config_validation():
         ExperimentConfig(omega=float("inf"))
     with pytest.raises(ConfigError):
         ExperimentConfig(chain_nodes=3)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ExperimentConfig(seed=-1)
     for changes in (
         {"pins": {0: math.nan}},
         {"pins": {0: math.inf}},

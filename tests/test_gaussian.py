@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_state_allclose, mixed_states, symplectic_maps
@@ -269,6 +269,14 @@ def test_mixed_fidelity_factorises_on_products():
     # the same pair seen through one shared two-mode map keeps its fidelity
     linked = fidelity(_mixed_two_mode(a1, a2), _mixed_two_mode(b1, b2))
     assert linked == pytest.approx(joint, abs=1e-12)
+    # a vacuum factor puts one symplectic eigenvalue at exactly 1/2 on a
+    # state that is not pure, so the mixed formula's root is singular
+    thermal, other = (_thermal_squeezed(nu, 1.0, 0.0, np.zeros(2)) for nu in (1.3, 0.8))
+    squeezed = GaussianState(np.array([0.4, -0.2]), squeezed_vacuum_p(0.6).cov)
+    product = fidelity(thermal.tensor(vacuum()), other.tensor(squeezed))
+    assert product == pytest.approx(
+        fidelity(thermal, other) * fidelity(vacuum(), squeezed), abs=1e-12
+    )
 
 
 def _pure_states(n_modes):
@@ -280,8 +288,13 @@ def _fidelity_pairs(n_modes):
     return st.tuples(either, either, st.lists(mixed_states(n_modes), min_size=1, max_size=3))
 
 
+# covariance I/2 + E_00: mixed, with one symplectic eigenvalue at exactly 1/2
+_EIGENVALUE_AT_HALF = GaussianState(np.zeros(4), np.diag([1.5, 0.5, 0.5, 0.5]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3).flatmap(_fidelity_pairs))
+@example((_EIGENVALUE_AT_HALF, _EIGENVALUE_AT_HALF, [_EIGENVALUE_AT_HALF]))
 def test_fidelity_is_its_covariance_half_then_its_mean_half(pair):
     a, b, others = pair
     half = _fidelity_cov(a.cov, b.cov)

@@ -31,7 +31,9 @@ from cvcluster.mbqc import (
     ByproductFrame,
     GateProgram,
     Instruction,
+    StepPlan,
     _byproduct,
+    _step_frame,
     basis_for_diagonal,
     compile_program,
     instruction_affine,
@@ -623,3 +625,99 @@ def test_one_op_programs_match_the_handbuilt_steps_bit_for_bit(step, seed):
     assert np.array_equal(state.mean, expected[1].mean)
     assert np.array_equal(state.cov, expected[1].cov)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+# The lowering before one loop served every instruction kind: one branch
+# per step shape (position shift, cz, single-mode teleport).  Kept here as
+# the reference that compile_program must match bit for bit.
+
+
+def _branched_lowering(program, omega, overrides):
+    nodes = [(head, 1.0) for head in range(program.n_modes)]
+    edges, steps, tails = [], [], list(range(program.n_modes))
+
+    def fresh(width):
+        nodes.append((len(nodes), width))
+        return len(nodes) - 1
+
+    for index, op in enumerate(program.ops):
+        width = float(overrides.get(index, omega))
+        if op.kind == "x":
+            steps.append(StepPlan(index, "classical", op, op.targets, (), (), ()))
+            continue
+        if op.kind == "cz":
+            wire_a, wire_b = op.targets
+            old_a, old_b = tails[wire_a], tails[wire_b]
+            new_a, new_b = fresh(width), fresh(width)
+            g = op.params[0] if op.params else 1.0
+            edges.extend([(old_a, new_a, 1.0), (old_b, new_b, 1.0), (old_a, old_b, g)])
+            bases = (Basis(), Basis())
+            steps.append(
+                StepPlan(index, "cz", op, op.targets, (old_a, old_b), bases, (width, width))
+            )
+            tails[wire_a], tails[wire_b] = new_a, new_b
+            continue
+        wire = op.targets[0]
+        old, new = tails[wire], fresh(width)
+        edges.append((old, new, 1.0))
+        param = op.params[0] if op.params else 0.0
+        basis = basis_for_diagonal("identity" if op.kind == "f" else op.kind, param)
+        steps.append(StepPlan(index, "teleport", op, (wire,), (old,), (basis,), (width,)))
+        tails[wire] = new
+    return nodes, edges, steps, tuple(tails)
+
+
+@st.composite
+def _lowering_inputs(draw):
+    n = draw(st.integers(1, 3), label="wires")
+    kinds = ["x", "z", "f", "p"] + (["cz"] if n > 1 else [])
+    ops = []
+    for _ in range(draw(st.integers(0, 6), label="ops")):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cz":
+            wires = tuple(draw(st.permutations(range(n)))[:2])
+            params = draw(st.sampled_from([(), (1.0,), (0.7,), (-1.1,)]))
+            ops.append(Instruction("cz", wires, params))
+        else:
+            params = () if kind == "f" else (draw(st.floats(-1.5, 1.5)),)
+            ops.append(Instruction(kind, (draw(st.integers(0, n - 1)),), params))
+    indices = st.sampled_from(range(len(ops))) if ops else st.nothing()
+    overrides = draw(st.dictionaries(indices, st.floats(0.05, 1.0)), label="overrides")
+    return GateProgram(n, tuple(ops)), draw(st.floats(0.05, 1.0), label="omega"), overrides
+
+
+def _bits(array):
+    return None if array is None else (array.shape, array.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lowering_inputs())
+def test_one_lowering_loop_matches_the_branched_lowering_bit_for_bit(inputs):
+    program, omega, overrides = inputs
+    compiled = compile_program(program, omega, overrides)
+    nodes, edges, steps, tails = _branched_lowering(program, omega, overrides)
+    assert repr(compiled.graph.nodes) == repr(nodes)
+    assert repr(compiled.graph.edges) == repr(edges)
+    assert compiled.tail_nodes == tails
+    assert repr(compiled.schedule.steps) == repr(tuple(steps))
+    entries = [
+        (node, basis, wire, step.index, 0)
+        for step in steps
+        for node, basis, wire in zip(step.measured_nodes, step.bases, step.wires)
+    ]
+    assert repr(entries) == repr(
+        [(e.node, e.basis, e.wire, e.step_index, e.barrier) for e in compiled.schedule.entries]
+    )
+    n = program.n_modes
+    maps = [instruction_affine(op, n) for op in program.ops]
+    quarters = [_byproduct(0.0, n, wire).matrix for wire in range(n)]
+    prefix = np.eye(2 * n)
+    for step, frame in zip(steps, compiled.frames, strict=True):
+        expected = _step_frame(step, maps[step.index], quarters, prefix)
+        for name in ("matrix", "prefix", "fixed"):
+            assert _bits(getattr(frame, name)) == _bits(getattr(expected, name))
+        assert [(node, wire, _bits(carry)) for node, wire, carry in frame.reads] == [
+            (node, wire, _bits(carry)) for node, wire, carry in expected.reads
+        ]
+        prefix = expected.prefix
+    assert _bits(compiled.frame_matrix) == _bits(prefix @ compiled.intended.inverse().matrix)

@@ -325,6 +325,17 @@ def test_cli_bad_pins_and_overrides_exit_two_and_write_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "postselect", "sweep"])
+def test_cli_negative_seed_exits_two_and_writes_nothing(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    program = {} if command == "postselect" else {"program": sample_program_payload()}
+    path.write_text(json.dumps({"schema": 1, "trials": 3, **program}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_accepts_a_mixed_input_on_several_wires(tmp_path, capsys):
     # a thermalized input makes both the output and the target mixed
     path = tmp_path / "config.json"
@@ -473,6 +484,22 @@ def test_cli_postselect_rejects_the_keys_it_never_reads(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "postselect does not read pins, omega_overrides" in err
+    assert not out.exists()
+
+
+def test_cli_postselect_rejects_a_program(tmp_path, program_config, capsys):
+    # the chain experiment builds its own chain and never runs the program
+    out = tmp_path / "out"
+    assert main(["postselect", "--config", str(program_config), "--out", str(out)]) == 2
+    assert "postselect does not read program" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_rejects_an_omega_override(tmp_path, program_config, capsys):
+    out = tmp_path / "out"
+    flags = ["--config", str(program_config), "--omega", "0.05", "--omegas", "0.3"]
+    assert main(["sweep", *flags, "--out", str(out)]) == 2
+    assert "sweep takes its widths from --omegas" in capsys.readouterr().err
     assert not out.exists()
 
 
