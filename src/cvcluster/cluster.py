@@ -10,6 +10,7 @@ omega_i^2 / 2 exactly on a noiseless build.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -21,11 +22,10 @@ from .gaussian import (
     _apply_local,
     _apply_local_cov,
     _apply_local_mean,
-    _condition_cov,
-    _condition_mean,
-    squeezed_vacuum_p,
+    _readout_variance,
+    _squeezed_variances,
 )
-from .symplectic import SymplecticAffine, controlled_phase, rotation
+from .symplectic import controlled_phase, rotation
 
 __all__ = [
     "ClusterGraph",
@@ -125,11 +125,15 @@ class RegisterPlan:
     an edge ``(a, b, weight)`` applies its controlled-phase link and then
     adds ``link_noise`` ``(vq, vp)`` to both ends; any other event is a
     schedule entry, read out in its basis once its variance passes
-    ``CONDITIONING_FLOOR``.  :meth:`walk` replays only the mean half of
-    each event, with the arithmetic and the normal draws of linking and
-    measuring step by step (:func:`~cvcluster.gaussian.homodyne`), so a
-    trial costs O(n) per event.  Every leading link that draws nothing is
-    folded here into ``mean``, the starting mean when one is given.
+    ``CONDITIONING_FLOOR``.  Modes keep their register index throughout:
+    a readout zeroes its mode's rows and columns and conditions only the
+    quadratures correlated with it (its ``support``, in a graph state the
+    mode's neighbourhood), so it costs O(n + support^2).  :meth:`walk`
+    replays only the mean half of each event, with the arithmetic and the
+    normal draws of linking and measuring step by step
+    (:func:`~cvcluster.gaussian.homodyne`), so a trial costs O(support) per
+    readout.  Every leading link that draws nothing is folded here into
+    ``mean``, the starting mean when one is given.
 
     The survivors are then ``outputs`` in that order (all of them, in
     register order, by default), with covariance ``cov`` and node-to-mode
@@ -142,14 +146,11 @@ class RegisterPlan:
         cov, mode_of, self.link_noise = np.array(cov, dtype=float), dict(mode_of), link_noise
         self.mean = None if mean is None else np.array(mean, dtype=float)
         self.steps: list[tuple] = []
-        maps: dict[float, SymplecticAffine] = {}
+        n, link_map, turn_map = cov.shape[0] // 2, cache(controlled_phase), cache(rotation)
         for event in events:
-            n = cov.shape[0] // 2
             if isinstance(event, tuple):
                 a, b, weight = event
-                if weight not in maps:
-                    maps[weight] = controlled_phase(weight)
-                link = maps[weight]
+                link = link_map(weight)
                 index = [mode_of[a], mode_of[b], n + mode_of[a], n + mode_of[b]]
                 _apply_local_cov(cov, link, index)
                 _add_link_variance(cov, index[:2], link_noise)
@@ -161,20 +162,24 @@ class RegisterPlan:
             mode = mode_of.pop(event.node)
             turn, index = None, [mode, n + mode]
             if event.basis.engine_angle != 0.0:
-                turn = rotation(-event.basis.engine_angle)
+                turn = turn_map(-event.basis.engine_angle)
                 _apply_local_cov(cov, turn, index)
-            keep, cross, var, cov = _condition_cov(cov, mode)
-            self.steps.append((event, turn, index, keep, cross, var, np.sqrt(var)))
-            mode_of = {node: m - (m > mode) for node, m in mode_of.items()}
-        self.output = None
-        if outputs is not None:
-            if len(mode_of) != len(outputs):
-                raise ScheduleError("schedule left a dangling unmeasured node")
-            wires = [mode_of[node] for node in outputs]
-            self.output = wires + [len(wires) + m for m in wires]
-            cov = cov[np.ix_(self.output, self.output)]
-            mode_of = {node: i for i, node in enumerate(outputs)}
-        self.cov, self.mode_of = cov, mode_of
+            var = _readout_variance(cov, mode)
+            column = cov[:, mode].copy()
+            column[index] = 0.0
+            support = np.flatnonzero(column)
+            cross = column[support]
+            cov[np.ix_(support, support)] -= np.outer(cross, cross) / var
+            cov[index, :] = 0.0
+            cov[:, index] = 0.0
+            self.steps.append((event, turn, index, support, cross, var, np.sqrt(var)))
+        if outputs is not None and len(mode_of) != len(outputs):
+            raise ScheduleError("schedule left a dangling unmeasured node")
+        wires = sorted(mode_of.values()) if outputs is None else [mode_of[i] for i in outputs]
+        self.output = wires + [n + m for m in wires]
+        self.cov = cov[np.ix_(self.output, self.output)]
+        rank = {m: k for k, m in enumerate(wires)}
+        self.mode_of = {node: rank[m] for node, m in mode_of.items()}
 
     def walk(self, mean: np.ndarray, outcomes: dict[int, float], rng=None, pins=None):
         """Mean after every event, from ``mean`` (left unmodified),
@@ -183,7 +188,7 @@ class RegisterPlan:
         ``pins`` and draw nothing, the rest sample from ``rng``."""
         pins = pins or {}
         mean = np.array(mean, dtype=float)
-        for entry, op, index, keep, cross, var, scale in self.steps:
+        for entry, op, index, support, cross, var, scale in self.steps:
             if op is not None:
                 _apply_local_mean(mean, op, index)
             if entry is None:
@@ -198,9 +203,9 @@ class RegisterPlan:
                 raise MeasurementError("sampling a homodyne outcome requires rng")
             else:
                 raw = float(rng.normal(mu, scale))
-            mean = _condition_mean(mean, keep, cross, mu, var, raw)
+            mean[support] += cross * ((raw - mu) / var)
             outcomes[entry.node] = entry.basis.record(raw) if pinned is None else pinned
-        return mean if self.output is None else mean[self.output]
+        return mean[self.output]
 
 
 def _register_plan(
@@ -226,7 +231,7 @@ def _register_plan(
     placed = [] if source is None else [graph.mode_index(i) for i in source_nodes]
     for k, (_, omega) in enumerate(graph.nodes):
         if k not in placed:
-            cov[k, k], cov[n + k, n + k] = np.diag(squeezed_vacuum_p(omega).cov)
+            cov[k, k], cov[n + k, n + k] = _squeezed_variances(omega)
     if placed:
         index = placed + [n + k for k in placed]
         mean[index] = source.mean
@@ -243,8 +248,9 @@ def _linked_register(
 ) -> GaussianState:
     """The register of ``graph`` with its edges linked in order: a
     links-only plan walked once, drawing each link's kicks from ``rng``
-    (none without one).  Each link updates its two modes' rows and
-    columns in place, so the build costs O(n^2) plus O(n) per edge."""
+    (none without one), whose survivors are every node in graph order.
+    Each link updates its two modes' rows and columns in place, so the
+    build costs O(n^2) plus O(n) per edge."""
     plan = _register_plan(graph, graph.edges, source, source_nodes, link_noise)
     return GaussianState(plan.walk(plan.mean, {}, rng), plan.cov, validate=False)
 

@@ -133,13 +133,17 @@ def squeezed_vacuum_p(omega: float) -> GaussianState:
     eigenstate.  Values below ``OMEGA_FLOOR`` are rejected rather than
     clamped.
     """
+    return GaussianState(np.zeros(2), np.diag(_squeezed_variances(omega)), validate=False)
+
+
+def _squeezed_variances(omega: float) -> tuple[float, float]:
+    """Var(q) and Var(p) of :func:`squeezed_vacuum_p`, checked against
+    ``OMEGA_FLOOR``."""
     if not np.isfinite(omega) or omega < OMEGA_FLOOR:
         raise InvalidOperationError(
             f"squeezing width must be finite and >= {OMEGA_FLOOR}"
         )
-    return GaussianState(
-        np.zeros(2), np.diag([1.0 / (2.0 * omega**2), omega**2 / 2.0]), validate=False
-    )
+    return 1.0 / (2.0 * omega**2), omega**2 / 2.0
 
 
 def coherent(mean_q: float, mean_p: float) -> GaussianState:
@@ -282,7 +286,9 @@ def homodyne(
     work = state
     if theta != 0.0:
         work = apply_affine(state, rotation(-theta), modes=(mode,))
-    keep, cross, var, cov_out = _condition_cov(work.cov, mode)
+    var = _readout_variance(work.cov, mode)
+    keep = np.array([i for i in range(2 * n) if i not in (mode, n + mode)], dtype=np.intp)
+    cross = work.cov[keep, mode]
     mu = work.mean[mode]
     if outcome is None:
         if rng is None:
@@ -290,7 +296,8 @@ def homodyne(
         outcome = float(rng.normal(mu, np.sqrt(var)))
     else:
         outcome = float(outcome)
-    mean_out = _condition_mean(work.mean, keep, cross, mu, var, outcome)
+    mean_out = work.mean[keep] + cross * ((outcome - mu) / var)
+    cov_out = work.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
     survivors = [m for m in range(n) if m != mode]
     relabel = {old: new for new, old in enumerate(survivors)}
     return HomodyneResult(
@@ -298,25 +305,15 @@ def homodyne(
     )
 
 
-def _condition_cov(cov: np.ndarray, mode: int):
-    """Covariance half of a position readout of ``mode``, which does not
-    depend on the outcome: the kept quadratures, their cross column with
-    the measured one, its variance (checked against
-    ``CONDITIONING_FLOOR``), and the conditioned covariance."""
-    n = cov.shape[0] // 2
+def _readout_variance(cov: np.ndarray, mode: int) -> float:
+    """Variance of ``mode``'s position, which a readout conditions on,
+    checked against ``CONDITIONING_FLOOR``."""
     var = cov[mode, mode]
     if var < CONDITIONING_FLOOR:
         raise MeasurementError(
             f"marginal variance {var:.3e} is below the conditioning floor"
         )
-    keep = np.array([i for i in range(2 * n) if i not in (mode, n + mode)], dtype=np.intp)
-    cross = cov[keep, mode]
-    return keep, cross, var, cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var
-
-
-def _condition_mean(mean: np.ndarray, keep, cross, mu: float, var: float, outcome: float):
-    """Mean half of a position readout whose marginal mean is ``mu``."""
-    return mean[keep] + cross * ((outcome - mu) / var)
+    return var
 
 
 def _gaussian_exponential(total: np.ndarray, delta: np.ndarray):

@@ -300,7 +300,7 @@ def compile_program(
     by one fresh squeezed node linked to the old tail with weight 1, of
     width ``omega`` unless overridden per instruction index via
     ``omega_overrides``; ``cz`` then links the two measured tails with
-    its weight.  Each instruction's map is built once here, and from
+    its weight.  Each distinct instruction's map is built once here, and from
     those the intended map and every matrix of the byproduct frame,
     which no outcome moves; a trial's frame replays only the shifts.
     """
@@ -331,7 +331,10 @@ def compile_program(
 
     graph = ClusterGraph(nodes=nodes, edges=edges)
     schedule = MeasurementSchedule(steps)
-    maps = [instruction_affine(op, program.n_modes) for op in program.ops]
+    keys = [(op.kind, op.targets, tuple(map(float.hex, op.params))) for op in program.ops]
+    distinct = dict(zip(keys, program.ops))  # keyed by bits, as 0.0 == -0.0
+    built = {key: instruction_affine(op, program.n_modes) for key, op in distinct.items()}
+    maps = [built[key] for key in keys]
     intended = _composed(maps, program.n_modes)
     quarters = [_byproduct(0.0, program.n_modes, wire).matrix for wire in heads]
     frames, prefix = [], np.eye(2 * program.n_modes)

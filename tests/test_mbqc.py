@@ -16,6 +16,7 @@ from cvcluster.exceptions import (
 )
 from cvcluster.cluster import nullifier_variances
 from cvcluster.distortion import NoiseBudget, apply_qnd_noise
+from cvcluster.experiment import _PlannedProgram
 from cvcluster.gaussian import (
     CONDITIONING_FLOOR,
     GaussianState,
@@ -721,3 +722,119 @@ def test_one_lowering_loop_matches_the_branched_lowering_bit_for_bit(inputs):
         ]
         prefix = expected.prefix
     assert _bits(compiled.frame_matrix) == _bits(prefix @ compiled.intended.inverse().matrix)
+
+
+# A planned readout conditions only the quadratures its mode is correlated
+# with, while the dense loops above condition every surviving quadrature.
+# Each entry it skips would have gained an exact zero, so the two must agree
+# to the last bit, signed zeros included.
+
+
+def _dense_register(compiled, source, link_noise, rng):
+    """The source on the head nodes and squeezed vacua elsewhere, then every
+    link applied to the whole register, with its noise added to both ends
+    and kicks drawn mode by mode from ``rng`` (none without one)."""
+    state = source
+    for _, width in compiled.graph.nodes[source.n_modes :]:
+        state = state.tensor(squeezed_vacuum_p(width))
+    n, (vq, vp) = state.n_modes, link_noise
+    for a, b, weight in compiled.graph.edges:
+        state = apply_affine(state, controlled_phase(weight), [a, b])
+        for mode in (a, b):
+            state.cov[mode, mode] += vq
+            state.cov[n + mode, n + mode] += vp
+            if rng is not None and (vq or vp):
+                state.mean[mode] += rng.normal(0.0, np.sqrt(vq)) if vq else 0.0
+                state.mean[n + mode] += rng.normal(0.0, np.sqrt(vp)) if vp else 0.0
+    return state
+
+
+@st.composite
+def _wide_runs(draw):
+    n = draw(st.integers(1, 3), label="wires")
+    kinds = ["x", "z", "f", "p"] + (["cz"] if n > 1 else [])
+    ops = []
+    for _ in range(draw(st.integers(0, 12), label="ops")):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cz":
+            wires = tuple(draw(st.permutations(range(n)))[:2])
+            params = draw(st.sampled_from([(), (0.7,), (-1.1,)]))
+            ops.append(Instruction("cz", wires, params))
+        else:
+            params = () if kind == "f" else (draw(st.floats(-1.5, 1.5)),)
+            ops.append(Instruction(kind, (draw(st.integers(0, n - 1)),), params))
+    compiled = compile_program(
+        GateProgram(n, tuple(ops)), draw(st.floats(0.05, 1.0), label="omega")
+    )
+    source = draw(st.one_of(st.just(vacuum(n)), mixed_states(n)), label="input")
+    noise = draw(
+        st.sampled_from([(0.0, 0.0), (0.01, 0.01), (0.02, 0.0), (0.0, 0.005)]), label="noise"
+    )
+    nodes = [entry.node for entry in compiled.schedule.entries]
+    order = draw(st.permutations(range(len(nodes))), label="order")
+    pinned = draw(st.sets(st.sampled_from(nodes)) if nodes else st.just(set()))
+    pins = {node: draw(st.floats(-2.0, 2.0)) for node in sorted(pinned)}
+    return compiled, source, noise, order, pins
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_runs(), st.integers(0, 2**32 - 1))
+def test_planned_runs_match_dense_conditioning_to_the_last_bit(run_input, seed):
+    compiled, source, noise, order, pins = run_input
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    register = prepare_cluster_state(compiled, source, noise, rng)
+    dense = _dense_register(compiled, source, noise, reference_rng)
+    assert _same_bits(register.mean, dense.mean) and _same_bits(register.cov, dense.cov)
+    run = run_schedule(register, compiled, order=order, rng=rng, pins=pins)
+    outcomes, state, _ = _stepwise_run(dense, compiled, order, reference_rng, pins)
+    assert run.outcomes == outcomes
+    assert _same_bits(run.state.mean, state.mean) and _same_bits(run.state.cov, state.cov)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_runs(), st.integers(0, 2**32 - 1))
+def test_planned_program_trials_match_dense_conditioning_to_the_last_bit(run_input, seed):
+    compiled, source, noise, _, pins = run_input
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    plan = _PlannedProgram(compiled, source, noise).plan
+    outcomes: dict[int, float] = {}
+    mean = plan.walk(plan.mean, outcomes, rng, pins)
+    dense = _dense_register(compiled, source, noise, reference_rng)
+    canonical = range(len(compiled.schedule))
+    expected, state, _ = _stepwise_run(dense, compiled, canonical, reference_rng, pins)
+    assert outcomes == expected
+    assert _same_bits(mean, state.mean) and _same_bits(plan.cov, state.cov)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _widest_support(program):
+    plan = _PlannedProgram(compile_program(program, 0.1), vacuum(program.n_modes)).plan
+    return max(len(support) for entry, _, _, support, *_ in plan.steps if entry is not None)
+
+
+def _two_wire_periods(count):
+    period = (
+        Instruction("f", (0,)),
+        Instruction("f", (1,)),
+        Instruction("p", (0,), (0.3,)),
+        Instruction("z", (1,), (0.1,)),
+        Instruction("f", (0,)),
+        Instruction("p", (1,), (-0.2,)),
+        Instruction("f", (0,)),
+        Instruction("f", (1,)),
+        Instruction("z", (0,), (-0.15,)),
+        Instruction("cz", (0, 1)),
+    )
+    return GateProgram(2, period * count)
+
+
+def test_readout_support_does_not_grow_with_the_wire():
+    # a graph state correlates each node only with its neighbours, so the
+    # block a readout conditions stays the same size however long the wire
+    assert _widest_support(fourier_wire(200)) == _widest_support(fourier_wire(20))
+    assert _widest_support(_two_wire_periods(20)) == _widest_support(_two_wire_periods(2))
