@@ -22,6 +22,7 @@ from .gaussian import (
     _apply_local,
     _apply_local_cov,
     _apply_local_mean,
+    _matvec,
     _readout_variance,
     _squeezed_variances,
 )
@@ -128,16 +129,16 @@ class RegisterPlan:
     ``CONDITIONING_FLOOR``.  Modes keep their register index throughout:
     a readout zeroes its mode's rows and columns and conditions only the
     quadratures correlated with it (its ``support``, in a graph state the
-    mode's neighbourhood), so it costs O(n + support^2).  :meth:`walk`
-    replays only the mean half of each event, with the arithmetic and the
-    normal draws of linking and measuring step by step
-    (:func:`~cvcluster.gaussian.homodyne`), so a trial costs O(support) per
+    mode's neighbourhood), so it costs O(n + support^2).  :meth:`stack`
+    replays only the mean half of each event on a stack of trials at once,
+    with the arithmetic and normal draws of linking and measuring each trial
+    step by step (:func:`~cvcluster.gaussian.homodyne`), O(support) per
     readout.  Every leading link that draws nothing is folded here into
     ``mean``, the starting mean when one is given.
 
     The survivors are then ``outputs`` in that order (all of them, in
     register order, by default), with covariance ``cov`` and node-to-mode
-    map ``mode_of``.
+    map ``mode_of``; ``nodes`` are the read-out nodes in walk order.
     """
 
     def __init__(
@@ -151,7 +152,7 @@ class RegisterPlan:
             if isinstance(event, tuple):
                 a, b, weight = event
                 link = link_map(weight)
-                index = [mode_of[a], mode_of[b], n + mode_of[a], n + mode_of[b]]
+                index = np.array([mode_of[a], mode_of[b], n + mode_of[a], n + mode_of[b]])
                 _apply_local_cov(cov, link, index)
                 _add_link_variance(cov, index[:2], link_noise)
                 if self.mean is not None and not self.steps and not any(link_noise):
@@ -160,7 +161,7 @@ class RegisterPlan:
                     self.steps.append((None, link, index, None, None, None, None))
                 continue
             mode = mode_of.pop(event.node)
-            turn, index = None, [mode, n + mode]
+            turn, index = None, np.array([mode, n + mode])
             if event.basis.engine_angle != 0.0:
                 turn = turn_map(-event.basis.engine_angle)
                 _apply_local_cov(cov, turn, index)
@@ -176,36 +177,59 @@ class RegisterPlan:
         if outputs is not None and len(mode_of) != len(outputs):
             raise ScheduleError("schedule left a dangling unmeasured node")
         wires = sorted(mode_of.values()) if outputs is None else [mode_of[i] for i in outputs]
-        self.output = wires + [n + m for m in wires]
+        self.output = np.array(wires + [n + m for m in wires], dtype=np.intp)
         self.cov = cov[np.ix_(self.output, self.output)]
         rank = {m: k for k, m in enumerate(wires)}
         self.mode_of = {node: rank[m] for node, m in mode_of.items()}
+        self.nodes = [entry.node for entry, *_ in self.steps if entry is not None]
 
-    def walk(self, mean: np.ndarray, outcomes: dict[int, float], rng=None, pins=None):
-        """Mean after every event, from ``mean`` (left unmodified),
-        recording each outcome into ``outcomes``.  Links draw their kicks
-        from ``rng`` (none without one); pinned nodes condition on
-        ``pins`` and draw nothing, the rest sample from ``rng``."""
+    def draws(self, pins=None) -> int:
+        """Normals a trial draws: each link's nonzero kicks, each unpinned readout."""
+        kicks = (len(self.steps) - len(self.nodes)) * 2 * sum(map(bool, self.link_noise))
+        return kicks + sum((pins or {}).get(node) is None for node in self.nodes)
+
+    def stack(self, mean: np.ndarray, normals=None, pins=None):
+        """Means after every event from each row of ``mean`` (one trial's
+        mean or a stack; left unmodified), row t drawing from ``normals[t]``
+        in event order (no link kicks without ``normals``) unless pinned by
+        ``pins``.  Returns the output means and the recorded outcomes."""
         pins = pins or {}
-        mean = np.array(mean, dtype=float)
+        # quadratures first, so an event gathers its rows for every trial
+        mean = np.array(np.transpose(mean), dtype=float)
+        rows = None if normals is None else iter(np.transpose(normals))
+        records, read = np.empty((len(self.nodes),) + mean.shape[1:]), 0
+
+        def normal(loc, scale):  # the arithmetic of Generator.normal
+            return loc + scale * next(rows)
         for entry, op, index, support, cross, var, scale in self.steps:
-            if op is not None:
-                _apply_local_mean(mean, op, index)
             if entry is None:
-                if rng is not None:
-                    _add_link_kicks(mean, index[:2], self.link_noise, rng)
+                _apply_local_mean(mean, op, index)
+                if rows is not None:
+                    _add_link_kicks(mean, index[:2], self.link_noise, normal)
                 continue
-            mu = mean[index[0]]
+            # the rotated mode is dead after its readout, so only mu is kept
+            if op is None:
+                mu = mean[index[0]]
+            else:
+                mu = _matvec(op.matrix, mean[index].T)[..., 0] + op.shift[0]
             pinned = pins.get(entry.node)
             if pinned is not None:
                 raw = float(entry.basis.raw(pinned))
-            elif rng is None:
+            elif rows is None:
                 raise MeasurementError("sampling a homodyne outcome requires rng")
             else:
-                raw = float(rng.normal(mu, scale))
-            mean[support] += cross * ((raw - mu) / var)
-            outcomes[entry.node] = entry.basis.record(raw) if pinned is None else pinned
-        return mean[self.output]
+                raw = normal(mu, scale)
+            mean[support] += np.multiply.outer(cross, (raw - mu) / var)
+            records[read], read = entry.basis.record(raw) if pinned is None else pinned, read + 1
+        return mean[self.output].T, records.T
+
+    def walk(self, mean: np.ndarray, outcomes: dict[int, float], rng=None, pins=None):
+        """One trial of :meth:`stack` from ``mean``, its normals drawn from
+        ``rng`` in one call, recording each outcome into ``outcomes``."""
+        normals = None if rng is None else rng.standard_normal(self.draws(pins))
+        mean, records = self.stack(mean, normals, pins)
+        outcomes.update(zip(self.nodes, records.tolist()))
+        return mean
 
 
 def _register_plan(

@@ -317,7 +317,7 @@ def apply_qnd_noise(
     noise = (links * vq, links * vp)
     _add_link_variance(out.cov, modes, noise)
     if rng is not None:
-        _add_link_kicks(out.mean, modes, noise, rng)
+        _add_link_kicks(out.mean, modes, noise, rng.normal)
     return out
 
 

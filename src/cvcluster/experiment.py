@@ -13,15 +13,16 @@ variance and moves only the mean, and the readouts, with every leading
 noiseless link folded into the starting mean), the intended output, and
 the covariance halves of frame resolution and fidelity (the inverse
 frame matrix, the resolved covariance, the determinants, the
-pure-or-mixed decision and the mixed formula's factor).  Computed per
-trial: the plan's mean walk (each remaining link's map and noise kicks,
-each readout's rotation and conditioning), the frame's shift chain, the
-resolved mean and the fidelity's exponential, in the arithmetic of
-linking, measuring and scoring each trial from scratch, bit for bit.
+pure-or-mixed decision and the mixed formula's factor).  Computed once
+per call on the stack of all its trials, one row each: the plan's mean
+walk (each remaining link's map and noise kicks, each readout's rotation
+and conditioning), the frame's shift chain, the resolved mean and the
+fidelity's exponential, in the arithmetic of linking, measuring and
+scoring each trial from scratch, bit for bit.
 
-All sampling flows from a master seed through per-trial substreams, so
-any trial can be replayed exactly from its index, and any recorded
-outcome set can be replayed in pinned mode.
+All sampling flows from a master seed through per-trial substreams, each
+trial drawing its normals in one call, so any trial can be replayed
+exactly from its index, and any recorded outcome set in pinned mode.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ class _Scoring:
     against ``target``, the intended map applied to the input.
 
     The covariance halves of frame resolution and fidelity, which read no
-    outcome, are built here once; :meth:`record` replays the mean halves
+    outcome, are built here once; :meth:`records` runs the mean halves
     (:func:`~cvcluster.mbqc.byproduct_frame`'s shift chain, the resolved
-    mean and the fidelity's exponential) with the bits of
-    ``fidelity(resolve_frame(output, byproduct_frame(...)), target)``.
+    mean and the fidelity's exponential) on a stack of trials, each with the
+    bits of ``fidelity(resolve_frame(output, byproduct_frame(...)), target)``.
     """
 
     def __init__(self, compiled: CompiledProgram, cov: np.ndarray, target: GaussianState):
@@ -135,26 +136,25 @@ class _Scoring:
         self.resolution = _resolution_cov(compiled.frame_matrix, cov)
         self.fidelity = _fidelity_cov(self.resolution.cov, target.cov)
 
-    def record(self, outcomes: dict[int, float], mean: np.ndarray, index: int) -> TrialRecord:
-        """Resolve the frame of one trial's outcomes on its output ``mean``."""
-        shift = _frame_shift(self.compiled, outcomes)
-        resolved = _resolution_mean(self.resolution, mean, shift)
-        return TrialRecord(
-            index=index,
-            outcomes=dict(outcomes),
-            accepted=True,
-            mean=resolved.tolist(),
-            cov=self.resolution.cov.tolist(),
-            fidelity=_fidelity_mean(self.fidelity, resolved - self.target_mean),
-        )
+    def records(self, indices, nodes, outcomes: np.ndarray, means) -> list[TrialRecord]:
+        """Records of trials ``indices`` from their rows of ``outcomes`` (a
+        column per node of ``nodes``) and of output ``means``."""
+        shift = _frame_shift(self.compiled, dict(zip(nodes, outcomes.T)))
+        resolved = _resolution_mean(self.resolution, means, shift)
+        fidelities = _fidelity_mean(self.fidelity, resolved - self.target_mean)
+        rows = np.atleast_2d(outcomes).tolist(), np.atleast_2d(resolved).tolist()
+        return [
+            TrialRecord(index, dict(zip(nodes, row)), True, mean, self.resolution.cov.tolist(), value)
+            for index, row, mean, value in zip(indices, *rows, np.atleast_1d(fidelities).tolist())
+        ]
 
 
 class _PlannedProgram:
     """A compiled program on one input, planned once: the graph's links
     and then its schedule's readouts on the unlinked register
     (:class:`~cvcluster.cluster.RegisterPlan`).  The plan's output
-    covariance is scored once (:class:`_Scoring`); a trial walks only
-    the mean."""
+    covariance is scored once (:class:`_Scoring`); the trials of a call
+    walk and score only their means, as one stack."""
 
     def __init__(self, compiled: CompiledProgram, source: GaussianState, link_noise=(0.0, 0.0)):
         events = compiled.graph.edges + list(compiled.schedule.entries)
@@ -164,10 +164,19 @@ class _PlannedProgram:
         self.target = apply_affine(source, compiled.intended)
         self.scoring = _Scoring(compiled, self.plan.cov, self.target)
 
-    def trial(self, rng, pins: dict[int, float] | None = None, index: int = 0) -> TrialRecord:
-        outcomes: dict[int, float] = {}
-        mean = self.plan.walk(self.plan.mean, outcomes, rng, pins)
-        return self.scoring.record(outcomes, mean, index)
+    def records(self, indices, normals, pins=None) -> list[TrialRecord]:
+        """Trials ``indices`` as one stack, trial ``indices[t]`` drawing ``normals[t]``."""
+        plan = self.plan
+        start = np.broadcast_to(plan.mean, (len(indices), len(plan.mean)))
+        if len(indices) == 1:  # one trial runs on plain vectors, the faster path
+            start, normals = start[0], None if normals is None else normals[0]
+        means, outcomes = plan.stack(start, normals, pins)
+        return self.scoring.records(indices, plan.nodes, outcomes, means)
+
+
+def _trial_normals(seed: int, indices, count: int, arm: int = 0) -> np.ndarray:
+    """Row t: the first ``count`` normals of trial ``indices[t]``'s substream."""
+    return np.array([trial_rng(seed, trial, arm).standard_normal(count) for trial in indices])
 
 
 def _reject_unread(config: ExperimentConfig, keys, command: str) -> None:
@@ -200,10 +209,8 @@ def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
         raise ConfigError(f"pins name no measured node: {stray}")
     source = _input_state(config, config.program.n_modes)
     planned = _PlannedProgram(compiled, source, config.budget.link_variances())
-    pins = config.pins or None
-    return [
-        planned.trial(trial_rng(config.seed, trial), pins, trial) for trial in indices
-    ]
+    normals = _trial_normals(config.seed, indices, planned.plan.draws(config.pins))
+    return planned.records(list(indices), normals, config.pins)
 
 
 def run_program(config: ExperimentConfig) -> list[TrialRecord]:
@@ -212,8 +219,8 @@ def run_program(config: ExperimentConfig) -> list[TrialRecord]:
     Each record holds the sampled (or pinned) outcomes and the
     frame-resolved output compared against the program's intended
     action on the input.  The register is prepared, its schedule planned
-    and its scoring's covariance halves built once per call; each trial
-    runs only the mean walk and the mean halves of scoring.
+    and its scoring's covariance halves built once per call; the trials
+    run only the mean walk and the mean halves of scoring, as one stack.
     """
     return _program_trials(config, range(config.trials))
 
@@ -300,26 +307,26 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     )
     scoring = _Scoring(chain, attached.cov, baseline.target)
 
-    baseline_records: list[TrialRecord] = []
-    mini_records: list[TrialRecord] = []
-    inner_magnitudes = np.zeros(config.trials)
+    trials = range(config.trials)
+    normals = _trial_normals(config.seed, trials, baseline.plan.draws())
+    baseline_records = [_shifted(record) for record in baseline.records(trials, normals)]
 
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial, arm=0)
-        baseline_records.append(_shifted(baseline.trial(rng, index=trial)))
-
-        rng = trial_rng(config.seed, trial, arm=1)
-        outcomes: dict[int, float] = {}
-        mean = inner.walk(inner.mean, outcomes, rng)
-        magnitude = max(abs(s) for s in outcomes.values())
-        inner_magnitudes[trial] = magnitude
-        if magnitude > config.window:
-            mini_records.append(
-                _shifted(TrialRecord(trial, outcomes, False, None, None, None))
-            )
-            continue
-        mean = attached.walk(mean, outcomes, rng)
-        mini_records.append(_shifted(scoring.record(outcomes, mean, trial)))
+    # a trial's arm-1 normals feed its inner readouts, then any attached ones
+    drawn = inner.draws()
+    normals = _trial_normals(config.seed, trials, drawn + attached.draws(), arm=1)
+    start = np.broadcast_to(inner.mean, (config.trials, len(inner.mean)))
+    means, inner_records = inner.stack(start, normals[:, :drawn])
+    inner_magnitudes = np.abs(inner_records).max(axis=1)
+    rows = np.flatnonzero(inner_magnitudes <= config.window)
+    means, outcomes = attached.stack(means[rows], normals[rows, drawn:])
+    outcomes = np.hstack([inner_records[rows], outcomes])
+    mini_records = [
+        TrialRecord(trial, dict(zip(inner.nodes, row)), False, None, None, None)
+        for trial, row in enumerate(inner_records.tolist())
+    ]
+    for record in scoring.records(rows.tolist(), inner.nodes + attached.nodes, outcomes, means):
+        mini_records[record.index] = record
+    mini_records = [_shifted(record) for record in mini_records]
 
     curve_grid = np.linspace(0.05, 5.0, 25)
     curve = [
@@ -378,21 +385,21 @@ def fidelity_vs_squeezing(
         raise InvalidOperationError("trials must be >= 1")
     if sample and rng is None:
         raise InvalidOperationError("sampled sweeps need an rng")
+    # a fixed input runs every trial as one stack; a drawn one is drawn before
+    # its trial's normals, so each of its trials is a stack of one
+    fixed = not callable(input_states)
+    source = vacuum(program.n_modes) if input_states is None else input_states
     points = []
     for width in omegas:
         compiled = compile_program(program, width)
         entries = compiled.schedule.entries
         pins = None if sample else {entry.node: 0.0 for entry in entries}
-        # a fixed input is prepared and planned once, a drawn one per trial
-        planned = None
-        if not callable(input_states):
-            source = vacuum(program.n_modes) if input_states is None else input_states
-            planned = _PlannedProgram(compiled, source)
-        values = []
-        for _ in range(trials):
-            trial = planned or _PlannedProgram(compiled, input_states(rng))
-            values.append(trial.trial(rng, pins).fidelity)
-        summary = _summarize(values)
+        records = []
+        for size in [trials] if fixed else [1] * trials:
+            planned = _PlannedProgram(compiled, source if fixed else input_states(rng))
+            normals = None if rng is None else rng.standard_normal((size, planned.plan.draws(pins)))
+            records += planned.records(range(size), normals, pins)
+        summary = _summarize([record.fidelity for record in records])
         points.append(
             SweepPoint(
                 width, label, summary.mean_fidelity, summary.stderr, summary.trials

@@ -151,9 +151,16 @@ def coherent(mean_q: float, mean_p: float) -> GaussianState:
     return GaussianState([mean_q, mean_p], VACUUM_VARIANCE * np.eye(2), validate=False)
 
 
-def _apply_local_mean(mean: np.ndarray, op: SymplecticAffine, index: list[int]) -> None:
-    """Mean half of :func:`_apply_local`: ``mean[index] <- S mean[index] + d``."""
-    mean[index] = op.matrix @ mean[index] + op.shift
+def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for one vector or each row of a stack, row by row, so
+    that a stack keeps the bits of the one-vector product."""
+    return matrix @ vectors if vectors.ndim == 1 else np.matmul(matrix, vectors[..., None])[..., 0]
+
+
+def _apply_local_mean(mean: np.ndarray, op: SymplecticAffine, index) -> None:
+    """Mean half of :func:`_apply_local`: ``mean[index] <- S mean[index] + d``
+    on one mean, or on a stack of them with one trial per column."""
+    mean[index] = (_matvec(op.matrix, mean[index].T) + op.shift).T
 
 
 def _apply_local_cov(cov: np.ndarray, op: SymplecticAffine, index: list[int]) -> None:
@@ -185,16 +192,16 @@ def _add_link_variance(cov: np.ndarray, modes, link_noise: tuple[float, float]) 
         cov[n + mode, n + mode] += vp
 
 
-def _add_link_kicks(mean: np.ndarray, modes, link_noise: tuple[float, float], rng) -> None:
-    """Mean half of one link's noise: matching kicks drawn from ``rng``
-    mode by mode (nothing for zero noise)."""
+def _add_link_kicks(mean: np.ndarray, modes, link_noise: tuple[float, float], normal) -> None:
+    """Mean half of one link's noise: matching kicks drawn by ``normal``
+    (a generator's, say) mode by mode (nothing for zero noise)."""
     vq, vp = link_noise
     if vq == 0.0 and vp == 0.0:
         return
     n = mean.shape[0] // 2
     for mode in modes:
-        mean[mode] += rng.normal(0.0, np.sqrt(vq)) if vq else 0.0
-        mean[n + mode] += rng.normal(0.0, np.sqrt(vp)) if vp else 0.0
+        mean[mode] += normal(0.0, np.sqrt(vq)) if vq else 0.0
+        mean[n + mode] += normal(0.0, np.sqrt(vp)) if vp else 0.0
 
 
 def apply_affine(
@@ -318,8 +325,9 @@ def _readout_variance(cov: np.ndarray, mode: int) -> float:
 
 def _gaussian_exponential(total: np.ndarray, delta: np.ndarray):
     """exp(-delta^T total^-1 delta / 2), the only mean-dependent factor of
-    every fidelity formula below."""
-    return np.exp(-0.5 * float(delta @ np.linalg.solve(total, delta)))
+    every fidelity formula below, for one ``delta`` or a stack of them."""
+    solved = np.linalg.solve(total, delta[..., None])
+    return np.exp(-0.5 * np.matmul(delta[..., None, :], solved)[..., 0, 0])
 
 
 def _principal_root(matrix: np.ndarray) -> np.ndarray:
@@ -385,11 +393,12 @@ def _fidelity_cov(cov_a: np.ndarray, cov_b: np.ndarray) -> _FidelityCov:
     return _FidelityCov(total, _mixed_fidelity_factor(cov_a, cov_b, total), False)
 
 
-def _fidelity_mean(half: _FidelityCov, delta: np.ndarray) -> float:
-    """Mean half of :func:`fidelity` for the mean difference ``delta``."""
+def _fidelity_mean(half: _FidelityCov, delta: np.ndarray):
+    """Mean half of :func:`fidelity` for the mean difference ``delta`` (a
+    list of floats for a stack)."""
     gauss = _gaussian_exponential(half.total, delta)
     value = gauss / half.scale if half.divide else half.scale * gauss
-    return float(min(max(value, 0.0), 1.0))
+    return np.minimum(np.maximum(value, 0.0), 1.0).tolist()
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:
@@ -401,7 +410,7 @@ def fidelity(a: GaussianState, b: GaussianState) -> float:
     formula (:func:`_mixed_fidelity`) otherwise.  Only the exponential
     reads the means, so a caller scoring many means against fixed
     covariances runs :func:`_fidelity_cov` once and :func:`_fidelity_mean`
-    per mean, with the same bits.
+    once on the stack of mean differences, with the same bits.
     """
     if a.n_modes != b.n_modes:
         raise InvalidOperationError("fidelity needs states on equal mode counts")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cluster import ClusterGraph, RegisterPlan, _linked_register
 from .exceptions import FrameError, InvalidOperationError, ScheduleError
-from .gaussian import GaussianState, vacuum
+from .gaussian import GaussianState, _matvec, vacuum
 from .gaussian import homodyne  # noqa: F401 - unused; the benchmark tracer rebinds it here
 from .symplectic import (
     SymplecticAffine,
@@ -234,15 +234,15 @@ class StepFrame:
     fixed: np.ndarray | None
     reads: tuple[tuple[int, int, np.ndarray | None], ...]
 
-    def shift(self, outcomes: dict[int, float]) -> np.ndarray:
-        """The step's shift for recorded ``outcomes``, in the arithmetic of
-        composing its byproducts one by one."""
+    def shift(self, outcomes) -> np.ndarray:
+        """The step's shift for recorded ``outcomes`` (or their columns over
+        a stack), in the arithmetic of composing its byproducts one by one."""
         shift = self.fixed
         for node, wire, carry in self.reads:
             if carry is not None:
-                shift = carry @ shift
-            kick = np.zeros(len(self.matrix))
-            kick[wire] = outcomes[node]
+                shift = _matvec(carry, shift)
+            kick = np.zeros(np.shape(outcomes[node]) + (len(self.matrix),))
+            kick[..., wire] = outcomes[node]
             shift = kick if shift is None else shift + kick
         return np.zeros(len(self.matrix)) if shift is None else shift
 
@@ -419,7 +419,7 @@ def _resolution_cov(matrix: np.ndarray, cov: np.ndarray) -> _Resolution:
 def _resolution_mean(half: _Resolution, mean: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Mean half: the resolved mean of an output with mean ``mean`` under
     a frame whose shift is ``shift``, as applying the inverse map does."""
-    return half.inverse @ mean + half.negative @ shift
+    return _matvec(half.inverse, mean) + _matvec(half.negative, shift)
 
 
 def resolve_frame(state: GaussianState, frame: ByproductFrame) -> GaussianState:
@@ -457,13 +457,13 @@ class RunResult:
     frame: ByproductFrame
 
 
-def _frame_shift(compiled: CompiledProgram, outcomes: dict[int, float]) -> np.ndarray:
-    """Shift of a run's frame, the only part of it that reads outcomes:
-    the steps' shifts chained in the arithmetic of composing their maps,
-    then the program's inverse."""
+def _frame_shift(compiled: CompiledProgram, outcomes) -> np.ndarray:
+    """Shift of a run's frame (or a stack's), the only part of it that reads
+    outcomes: the steps' shifts chained in the arithmetic of composing their
+    maps, then the program's inverse."""
     shift = np.zeros(len(compiled.frame_matrix))
     for part in compiled.frames:
-        shift = part.matrix @ shift + part.shift(outcomes)
+        shift = _matvec(part.matrix, shift) + part.shift(outcomes)
     return compiled.frame_offset + shift
 
 
@@ -501,10 +501,10 @@ def run_schedule(
     """Execute every scheduled measurement on a prepared register.
 
     Plans the readouts on the register's covariance (:func:`plan_schedule`)
-    and walks the plan once on its mean; trial loops keep one plan for
-    every trial instead.  ``order`` permutes measurement execution; the
-    byproduct frame comes from :func:`byproduct_frame`, so it does not
-    depend on the order.
+    and walks the plan once on its mean, a stack of one; trial loops keep
+    one plan and walk all their trials as one stack instead.  ``order``
+    permutes measurement execution; the byproduct frame comes from
+    :func:`byproduct_frame`, so it does not depend on the order.
     """
     plan, outcomes = plan_schedule(state.cov, compiled, order), {}
     mean = plan.walk(state.mean, outcomes, rng, pins)

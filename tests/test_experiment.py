@@ -18,6 +18,7 @@ from cvcluster.experiment import (
     ExperimentConfig,
     TrialRecord,
     _input_state,
+    _program_trials,
     _summarize,
     fidelity_vs_squeezing,
     run_postselection_experiment,
@@ -653,3 +654,42 @@ def test_planned_scoring_matches_todays_chain_bit_for_bit(case, data):
     assert records == expected
     # repr tells every bit of a float apart, the sign of a zero included
     assert [repr(record) for record in records] == [repr(record) for record in expected]
+
+
+# Every call walks and scores its trials as one stack, one row each, and a
+# single trial runs on plain vectors.  A wrong broadcast axis or a buffer
+# shared between rows would make a trial depend on the others in its stack.
+
+
+@pytest.mark.parametrize("case", ["one_wire", "two_wires_input_excess", "link_noise", "pins"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_trial_does_not_depend_on_the_rest_of_its_stack(case, data):
+    config = data.draw(_scored_configs(case), label="config")
+    config = replace(config, trials=data.draw(st.integers(2, 7), label="trials"))
+    records = [repr(record) for record in run_program(config)]
+    subset = data.draw(
+        st.lists(st.integers(0, config.trials - 1), min_size=1, unique=True), label="subset"
+    )
+    for indices in (subset, subset[:1]):
+        stacked = _program_trials(config, indices)
+        assert [repr(record) for record in stacked] == [records[t] for t in indices]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([NoiseBudget(), NOISY]),
+    st.sampled_from([4, 5]),
+)
+def test_postselection_records_do_not_depend_on_the_trial_count(short, seed, budget, nodes):
+    config = ExperimentConfig(
+        omega=0.3, window=2.0, trials=60, seed=seed, budget=budget, chain_nodes=nodes
+    )
+    full = run_postselection_experiment(config)
+    part = run_postselection_experiment(replace(config, trials=short))
+    assert {record.accepted for record in full.mini_records} == {True, False}
+    for arm in ("baseline_records", "mini_records"):
+        expected = [repr(record) for record in getattr(full, arm)[:short]]
+        assert [repr(record) for record in getattr(part, arm)] == expected

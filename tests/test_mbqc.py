@@ -539,6 +539,18 @@ def test_planning_a_readout_below_the_conditioning_floor_raises():
         plan_schedule(cov, compiled)
 
 
+def test_run_schedule_without_rng_needs_every_readout_pinned():
+    compiled = compile_program(fourier_wire(3), 0.2)
+    register = prepare_cluster_state(compiled)
+    nodes = [entry.node for entry in compiled.schedule.entries]
+    pins = {node: 0.25 * (k + 1) for k, node in enumerate(nodes)}
+    unpinned = dict(list(pins.items())[:-1])
+    with pytest.raises(MeasurementError, match="requires rng"):
+        run_schedule(register, compiled, rng=None, pins=unpinned)
+    run = run_schedule(register, compiled, rng=None, pins=pins)
+    assert run.outcomes == pins and list(run.outcomes) == nodes
+
+
 # The hand-built steps that teleported one gate before every step ran
 # through the compiled schedule: a fresh squeezed node per wire appended to
 # the register, the links applied one by one, ``homodyne`` on each old
