@@ -227,6 +227,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.omega is not None:
         raise ConfigError("sweep takes its widths from --omegas, not --omega")
     omegas = _parse_floats(args.omegas, "--omegas")
+    if not omegas or not all(np.isfinite(w) and w > 0 for w in omegas):
+        raise ConfigError("--omegas needs one or more positive, finite widths")
     sample = config.trials > 1
     rng = np.random.default_rng(config.seed) if sample else None
     points = fidelity_vs_squeezing(
@@ -278,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="master seed override")
     common.add_argument("--trials", type=int, help="trial count override")
     common.add_argument("--omega", type=float, help="ancilla width override")
-    common.add_argument("--window", type=float, help="post-selection window override")
     common.add_argument(
         "--pin",
         action="append",
@@ -297,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="compare straight-through and post-selected teleport chains",
     )
+    post_parser.add_argument("--window", type=float, help="post-selection window override")
     post_parser.set_defaults(func=cmd_postselect)
     sweep_parser = sub.add_parser(
         "sweep", parents=[common], help="fidelity versus ancilla squeezing width"
@@ -305,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--omegas", default=DEFAULT_SWEEP, help="comma-separated widths"
     )
     sweep_parser.set_defaults(func=cmd_sweep)
-    validate_parser = sub.add_parser(
-        "validate", parents=[common], help="cross-check the engine against the oracle"
-    )
+    validate_parser = sub.add_parser("validate", help="cross-check the engine against the oracle")
     validate_parser.set_defaults(func=cmd_validate)
     return parser
 

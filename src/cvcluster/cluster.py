@@ -136,14 +136,12 @@ class RegisterPlan:
     readout.  Every leading link that draws nothing is folded here into
     ``mean``, the starting mean when one is given.
 
-    The survivors are then ``outputs`` in that order (all of them, in
-    register order, by default), with covariance ``cov`` and node-to-mode
-    map ``mode_of``; ``nodes`` are the read-out nodes in walk order.
+    The survivors are then ``outputs``, every node left unread, in that
+    order, with covariance ``cov``; ``nodes`` are the read-out nodes in
+    walk order.
     """
 
-    def __init__(
-        self, cov, events, mode_of, outputs=None, link_noise=(0.0, 0.0), mean=None
-    ):
+    def __init__(self, cov, events, mode_of, outputs, link_noise=(0.0, 0.0), mean=None):
         cov, mode_of, self.link_noise = np.array(cov, dtype=float), dict(mode_of), link_noise
         self.mean = None if mean is None else np.array(mean, dtype=float)
         self.steps: list[tuple] = []
@@ -174,13 +172,11 @@ class RegisterPlan:
             cov[index, :] = 0.0
             cov[:, index] = 0.0
             self.steps.append((event, turn, index, support, cross, var, np.sqrt(var)))
-        if outputs is not None and len(mode_of) != len(outputs):
+        if len(mode_of) != len(outputs):
             raise ScheduleError("schedule left a dangling unmeasured node")
-        wires = sorted(mode_of.values()) if outputs is None else [mode_of[i] for i in outputs]
+        wires = [mode_of[i] for i in outputs]
         self.output = np.array(wires + [n + m for m in wires], dtype=np.intp)
         self.cov = cov[np.ix_(self.output, self.output)]
-        rank = {m: k for k, m in enumerate(wires)}
-        self.mode_of = {node: rank[m] for node, m in mode_of.items()}
         self.nodes = [entry.node for entry, *_ in self.steps if entry is not None]
 
     def draws(self, pins=None) -> int:
@@ -235,14 +231,14 @@ class RegisterPlan:
 def _register_plan(
     graph: ClusterGraph,
     events,
+    outputs,
     source: GaussianState | None = None,
     source_nodes: tuple[int, ...] = (),
     link_noise: tuple[float, float] = (0.0, 0.0),
-    outputs=None,
 ) -> RegisterPlan:
-    """``events`` planned from the unlinked register of ``graph``: mode k
-    is the k-th node, with mode i of ``source`` on node ``source_nodes[i]``
-    and squeezed vacua elsewhere."""
+    """``events`` planned from the unlinked register of ``graph``, leaving
+    ``outputs``: mode k is the k-th node, with mode i of ``source`` on node
+    ``source_nodes[i]`` and squeezed vacua elsewhere."""
     n = len(graph.nodes)
     if n == 0:
         raise InvalidOperationError("cluster graph has no nodes")
@@ -272,10 +268,10 @@ def _linked_register(
 ) -> GaussianState:
     """The register of ``graph`` with its edges linked in order: a
     links-only plan walked once, drawing each link's kicks from ``rng``
-    (none without one), whose survivors are every node in graph order.
+    (none without one), whose outputs are every node in graph order.
     Each link updates its two modes' rows and columns in place, so the
     build costs O(n^2) plus O(n) per edge."""
-    plan = _register_plan(graph, graph.edges, source, source_nodes, link_noise)
+    plan = _register_plan(graph, graph.edges, graph.node_ids, source, source_nodes, link_noise)
     return GaussianState(plan.walk(plan.mean, {}, rng), plan.cov, validate=False)
 
 

@@ -2,9 +2,9 @@
 post-selection protocol, squeezing sweeps, and tomography-style
 summaries.
 
-Every Gaussian trial is scored by one body, :class:`_Scoring`: the
-measured register's frame is resolved and the output is compared with
-the compiled program's intended map.
+Every Gaussian trial, the mini-cluster arm's included, runs through one
+planned program, :class:`_PlannedProgram`: the measured register's frame
+is resolved and the output compared with the compiled program's intended map.
 
 Computed once per call: the compiled program with every matrix of its
 byproduct frame, the register plan (:class:`~cvcluster.cluster.RegisterPlan`:
@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cluster import RegisterPlan, _register_plan
+from .cluster import _register_plan
 from .distortion import NoiseBudget, apply_input_noise
 from .exceptions import ConfigError, InvalidOperationError
 from .gaussian import (
@@ -120,49 +120,39 @@ def _input_state(config: ExperimentConfig, n_modes: int) -> GaussianState:
     return apply_input_noise(source, config.budget)
 
 
-class _Scoring:
-    """Scores trials of ``compiled`` whose outputs have covariance ``cov``
-    against ``target``, the intended map applied to the input.
+class _PlannedProgram:
+    """A compiled program on one input, planned once: ``events`` (the
+    graph's links, then its schedule's readouts, by default) on the unlinked
+    register (:class:`~cvcluster.cluster.RegisterPlan`), the intended output
+    ``target`` and the covariance halves of frame resolution and fidelity.
+    A call's trials walk and score only their means, as one stack."""
 
-    The covariance halves of frame resolution and fidelity, which read no
-    outcome, are built here once; :meth:`records` runs the mean halves
-    (:func:`~cvcluster.mbqc.byproduct_frame`'s shift chain, the resolved
-    mean and the fidelity's exponential) on a stack of trials, each with the
-    bits of ``fidelity(resolve_frame(output, byproduct_frame(...)), target)``.
-    """
+    def __init__(
+        self, compiled: CompiledProgram, source: GaussianState, link_noise=(0.0, 0.0), events=None
+    ):
+        if events is None:
+            events = compiled.graph.edges + list(compiled.schedule.entries)
+        self.compiled = compiled
+        self.plan = _register_plan(
+            compiled.graph, events, compiled.tail_nodes, source, compiled.head_nodes, link_noise
+        )
+        self.target = apply_affine(source, compiled.intended)
+        self.resolution = _resolution_cov(compiled.frame_matrix, self.plan.cov)
+        self.fidelity = _fidelity_cov(self.resolution.cov, self.target.cov)
 
-    def __init__(self, compiled: CompiledProgram, cov: np.ndarray, target: GaussianState):
-        self.compiled, self.target_mean = compiled, target.mean
-        self.resolution = _resolution_cov(compiled.frame_matrix, cov)
-        self.fidelity = _fidelity_cov(self.resolution.cov, target.cov)
-
-    def records(self, indices, nodes, outcomes: np.ndarray, means) -> list[TrialRecord]:
+    def score(self, indices, outcomes: np.ndarray, means) -> list[TrialRecord]:
         """Records of trials ``indices`` from their rows of ``outcomes`` (a
-        column per node of ``nodes``) and of output ``means``."""
+        column per node of ``plan.nodes``) and of output ``means``, each with
+        the bits of ``fidelity(resolve_frame(output, byproduct_frame(...)), target)``."""
+        nodes = self.plan.nodes
         shift = _frame_shift(self.compiled, dict(zip(nodes, outcomes.T)))
         resolved = _resolution_mean(self.resolution, means, shift)
-        fidelities = _fidelity_mean(self.fidelity, resolved - self.target_mean)
+        fidelities = _fidelity_mean(self.fidelity, resolved - self.target.mean)
         rows = np.atleast_2d(outcomes).tolist(), np.atleast_2d(resolved).tolist()
         return [
             TrialRecord(index, dict(zip(nodes, row)), True, mean, self.resolution.cov.tolist(), value)
             for index, row, mean, value in zip(indices, *rows, np.atleast_1d(fidelities).tolist())
         ]
-
-
-class _PlannedProgram:
-    """A compiled program on one input, planned once: the graph's links
-    and then its schedule's readouts on the unlinked register
-    (:class:`~cvcluster.cluster.RegisterPlan`).  The plan's output
-    covariance is scored once (:class:`_Scoring`); the trials of a call
-    walk and score only their means, as one stack."""
-
-    def __init__(self, compiled: CompiledProgram, source: GaussianState, link_noise=(0.0, 0.0)):
-        events = compiled.graph.edges + list(compiled.schedule.entries)
-        self.plan = _register_plan(
-            compiled.graph, events, source, compiled.head_nodes, link_noise, compiled.tail_nodes
-        )
-        self.target = apply_affine(source, compiled.intended)
-        self.scoring = _Scoring(compiled, self.plan.cov, self.target)
 
     def records(self, indices, normals, pins=None) -> list[TrialRecord]:
         """Trials ``indices`` as one stack, trial ``indices[t]`` drawing ``normals[t]``."""
@@ -171,7 +161,7 @@ class _PlannedProgram:
         if len(indices) == 1:  # one trial runs on plain vectors, the faster path
             start, normals = start[0], None if normals is None else normals[0]
         means, outcomes = plan.stack(start, normals, pins)
-        return self.scoring.records(indices, plan.nodes, outcomes, means)
+        return self.score(indices, outcomes, means)
 
 
 def _trial_normals(seed: int, indices, count: int, arm: int = 0) -> np.ndarray:
@@ -278,12 +268,12 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
 
     Both strategies teleport the node-1 input to the final node through
     the same number of steps; post-selection changes only which trials
-    survive.  Rejected trials are counted, not retried.  Both run on the
-    compiled chain of Fourier steps, whose node ``k`` is chain node
-    ``k + 1``: the straight-through arm is a program trial on it, and
-    the mini arm is the chain register with the input's link planned
-    after the inner readouts.  Records use the 1-based chain ids.  The
-    chain reads no ``pins`` or ``omega_overrides``; a config that sets
+    survive.  Rejected trials are counted, not retried.  Both are planned
+    programs on the compiled chain of Fourier steps, whose node ``k`` is
+    chain node ``k + 1``; the mini arm's events are the chain's with the
+    input's link and nodes 1 and 2 read after the inner readouts, and only
+    its accepted trials are scored.  Records use the 1-based chain ids.
+    The chain reads no ``pins`` or ``omega_overrides``; a config that sets
     them raises :class:`ConfigError`.
     """
     _reject_unread(config, ("pins", "omega_overrides"), "postselect")
@@ -299,32 +289,26 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     baseline = _PlannedProgram(chain, source, link_noise)
     # strategy B: the chain with the input's link held back: link and read
     # the inner nodes, select, then link the input and read nodes 1 and 2
-    inner = _register_plan(
-        chain.graph, edges[1:] + entries[2:], source, chain.head_nodes, link_noise
+    mini = _PlannedProgram(
+        chain, source, link_noise, edges[1:] + entries[2:] + edges[:1] + entries[:2]
     )
-    attached = RegisterPlan(
-        inner.cov, edges[:1] + entries[:2], inner.mode_of, chain.tail_nodes, link_noise
-    )
-    scoring = _Scoring(chain, attached.cov, baseline.target)
 
     trials = range(config.trials)
     normals = _trial_normals(config.seed, trials, baseline.plan.draws())
     baseline_records = [_shifted(record) for record in baseline.records(trials, normals)]
 
-    # a trial's arm-1 normals feed its inner readouts, then any attached ones
-    drawn = inner.draws()
-    normals = _trial_normals(config.seed, trials, drawn + attached.draws(), arm=1)
-    start = np.broadcast_to(inner.mean, (config.trials, len(inner.mean)))
-    means, inner_records = inner.stack(start, normals[:, :drawn])
-    inner_magnitudes = np.abs(inner_records).max(axis=1)
+    # every trial walks the whole plan as one stack; only the accepted are scored
+    normals = _trial_normals(config.seed, trials, mini.plan.draws(), arm=1)
+    start = np.broadcast_to(mini.plan.mean, (config.trials, len(mini.plan.mean)))
+    means, outcomes = mini.plan.stack(start, normals)
+    inner = config.chain_nodes - 3
+    inner_magnitudes = np.abs(outcomes[:, :inner]).max(axis=1)
     rows = np.flatnonzero(inner_magnitudes <= config.window)
-    means, outcomes = attached.stack(means[rows], normals[rows, drawn:])
-    outcomes = np.hstack([inner_records[rows], outcomes])
     mini_records = [
-        TrialRecord(trial, dict(zip(inner.nodes, row)), False, None, None, None)
-        for trial, row in enumerate(inner_records.tolist())
+        TrialRecord(trial, dict(zip(mini.plan.nodes, row)), False, None, None, None)
+        for trial, row in enumerate(outcomes[:, :inner].tolist())
     ]
-    for record in scoring.records(rows.tolist(), inner.nodes + attached.nodes, outcomes, means):
+    for record in mini.score(rows.tolist(), outcomes[rows], means[rows]):
         mini_records[record.index] = record
     mini_records = [_shifted(record) for record in mini_records]
 

@@ -386,6 +386,8 @@ def test_mini_arm_matches_the_step_by_step_procedure(budget, window, chain_nodes
     for record, reference in zip(mini, expected, strict=True):
         assert record == reference
         assert list(record.outcomes) == list(reference.outcomes)
+        # every bit, sign of zero included
+        assert repr(record) == repr(reference)
 
 
 def test_shorter_wires_carry_less_distortion():

@@ -503,6 +503,52 @@ def test_cli_sweep_rejects_an_omega_override(tmp_path, program_config, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "omegas",
+    ["", ",", "0.3,-1", "0", "nan", "0.3,inf"],
+    ids=["empty", "only_commas", "negative", "zero", "nan", "inf"],
+)
+def test_cli_sweep_bad_widths_exit_two_and_write_nothing(tmp_path, program_config, capsys, omegas):
+    out = tmp_path / "out"
+    flags = ["--config", str(program_config), "--omegas", omegas, "--out", str(out)]
+    assert main(["sweep", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --omegas needs one or more positive, finite widths")
+    assert not out.exists()
+
+
+def test_cli_sweep_width_below_the_floor_exits_three_and_writes_nothing(
+    tmp_path, program_config, capsys
+):
+    # a positive width below OMEGA_FLOOR parses but fails at compilation, as on `run`
+    out = tmp_path / "out"
+    flags = ["--config", str(program_config), "--omegas", "0.3,1e-9", "--out", str(out)]
+    assert main(["sweep", *flags]) == 3
+    assert capsys.readouterr().err.startswith("error: squeezing width must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("run", ["--window", "0.3"]),
+        ("sweep", ["--window", "0.3"]),
+        ("validate", ["--config", "missing.json", "--trials", "5", "--pin", "3=1"]),
+    ],
+    ids=["run_window", "sweep_window", "validate_common_flags"],
+)
+def test_cli_flags_a_command_never_reads_exit_two_and_write_nothing(
+    tmp_path, program_config, capsys, command, flags
+):
+    out = tmp_path / "out"
+    config = [] if command == "validate" else ["--config", str(program_config)]
+    with pytest.raises(SystemExit) as stopped:
+        main([command, *config, *flags, "--out", str(out)])
+    assert stopped.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_rejects_the_keys_it_never_reads(tmp_path, capsys):
     path = tmp_path / "config.json"
     payload = {
