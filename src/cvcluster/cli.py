@@ -17,7 +17,6 @@ from .exceptions import ConfigError, CVClusterError
 from .experiment import (
     ExperimentConfig,
     TrialRecord,
-    _reject_unread,
     _summarize,
     fidelity_vs_squeezing,
     run_postselection_experiment,
@@ -26,6 +25,7 @@ from .experiment import (
 )
 from .gaussian import GaussianState
 from .serialize import (
+    CONFIG_KEYS,
     SCHEMA_VERSION,
     config_hash,
     load_json,
@@ -57,13 +57,6 @@ def _parse_pins(values: list[str] | None) -> dict[int, float]:
     return pins
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as error:
-        raise ConfigError(f"{flag} expects comma-separated numbers") from error
-
-
 def _load_payload(args: argparse.Namespace) -> dict:
     if args.config:
         payload = load_json(args.config)
@@ -77,14 +70,24 @@ def _load_payload(args: argparse.Namespace) -> dict:
             payload[name] = value
     pins = _parse_pins(getattr(args, "pin", None))
     if pins:
-        merged = dict(payload.get("pins", {}))
-        merged.update({str(node): value for node, value in pins.items()})
-        payload["pins"] = merged
+        merged = payload.get("pins", {})
+        if not isinstance(merged, dict):
+            raise ConfigError("config.pins: expected an object")
+        payload["pins"] = {**merged, **{str(node): value for node, value in pins.items()}}
     return payload
 
 
 def _effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
+    """The parsed config and its hash; ``args.command`` must read every key it holds."""
     payload = _load_payload(args)
+    command = args.command
+    unread = [
+        name for name, key in CONFIG_KEYS.items() if name in payload and command not in key.commands
+    ]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
+    if "program" not in payload and command in CONFIG_KEYS["program"].commands:
+        raise ConfigError(f"{command} needs a config with a program")
     return parse_config(payload), config_hash(payload)
 
 
@@ -92,7 +95,10 @@ def _out_path(args: argparse.Namespace) -> Path | None:
     if not getattr(args, "out", None):
         return None
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise ConfigError(f"--out {path}: {error}") from error
     return path
 
 
@@ -141,8 +147,6 @@ def _write_tomography(
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, digest = _effective_config(args)
-    if config.program is None:
-        raise ConfigError("run needs a config with a program")
     records = run_program(config)
     summary = _summarize([record.fidelity for record in records])
     print(f"config {digest[:12]} seed {config.seed} trials {config.trials}")
@@ -157,7 +161,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_postselect(args: argparse.Namespace) -> int:
     config, digest = _effective_config(args)
-    _reject_unread(config, ("program",), "postselect")
     summary = run_postselection_experiment(config)
     print(
         f"config {digest[:12]} seed {summary.seed} trials {summary.trials} "
@@ -221,19 +224,16 @@ def cmd_postselect(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config, digest = _effective_config(args)
-    if config.program is None:
-        raise ConfigError("sweep needs a config with a program")
-    _reject_unread(config, ("pins", "omega_overrides", "noise", "input_mean"), "sweep")
     if args.omega is not None:
         raise ConfigError("sweep takes its widths from --omegas, not --omega")
-    omegas = _parse_floats(args.omegas, "--omegas")
+    try:
+        omegas = [float(part) for part in args.omegas.split(",") if part.strip()]
+    except ValueError as error:
+        raise ConfigError("--omegas expects comma-separated numbers") from error
     if not omegas or not all(np.isfinite(w) and w > 0 for w in omegas):
         raise ConfigError("--omegas needs one or more positive, finite widths")
-    sample = config.trials > 1
-    rng = np.random.default_rng(config.seed) if sample else None
-    points = fidelity_vs_squeezing(
-        config.program, omegas, trials=config.trials, sample=sample, rng=rng
-    )
+    rng = np.random.default_rng(config.seed) if config.trials > 1 else None
+    points = fidelity_vs_squeezing(config.program, omegas, trials=config.trials, rng=rng)
     print(f"config {digest[:12]} seed {config.seed} trials {config.trials}")
     for point in points:
         print(

@@ -20,16 +20,18 @@ and conditioning), the frame's shift chain, the resolved mean and the
 fidelity's exponential, in the arithmetic of linking, measuring and
 scoring each trial from scratch, bit for bit.
 
-All sampling flows from a master seed through per-trial substreams, each
-trial drawing its normals in one call, so any trial can be replayed
-exactly from its index, and any recorded outcome set in pinned mode.
+Program trials and both post-selection arms draw from a master seed
+through per-trial substreams, each trial drawing its normals in one call,
+so any trial can be replayed exactly from its index, and any recorded
+outcome set in pinned mode.  The squeezing sweep instead draws every trial
+of every width, in order, from the one generator its caller passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,21 +171,6 @@ def _trial_normals(seed: int, indices, count: int, arm: int = 0) -> np.ndarray:
     return np.array([trial_rng(seed, trial, arm).standard_normal(count) for trial in indices])
 
 
-def _reject_unread(config: ExperimentConfig, keys, command: str) -> None:
-    """Raise :class:`ConfigError` naming each of ``keys`` that ``config``
-    sets and ``command`` would never read."""
-    given = {
-        "program": config.program is not None,
-        "pins": bool(config.pins),
-        "omega_overrides": bool(config.omega_overrides),
-        "noise": not config.budget.is_zero,
-        "input_mean": config.input_mean is not None,
-    }
-    unread = [key for key in keys if given[key]]
-    if unread:
-        raise ConfigError(f"{command} does not read {', '.join(unread)}")
-
-
 def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
     """The configured program's trials with the given indices; trial ``t``
     draws its link noise and outcomes from ``trial_rng(seed, t)``."""
@@ -276,7 +263,8 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
     The chain reads no ``pins`` or ``omega_overrides``; a config that sets
     them raises :class:`ConfigError`.
     """
-    _reject_unread(config, ("pins", "omega_overrides"), "postselect")
+    if config.pins or config.omega_overrides:
+        raise ConfigError("the chain experiment reads no pins or omega_overrides")
     chain = compile_program(
         GateProgram(1, (Instruction("f", (0,)),) * (config.chain_nodes - 1)),
         config.omega,
@@ -339,7 +327,6 @@ def run_postselection_experiment(config: ExperimentConfig) -> PostSelectionSumma
 
 class SweepPoint(NamedTuple):
     omega: float
-    label: str
     mean_fidelity: float
     stderr: float
     trials: int
@@ -348,47 +335,33 @@ class SweepPoint(NamedTuple):
 def fidelity_vs_squeezing(
     program: GateProgram,
     omegas,
-    input_states: GaussianState | Callable | None = None,
+    *,
     trials: int = 1,
-    sample: bool = False,
     rng: np.random.Generator | None = None,
-    label: str = "program",
 ) -> list[SweepPoint]:
-    """Frame-resolved fidelity against the intended gate, per ancilla
-    width.
+    """Frame-resolved fidelity of ``program`` on a vacuum input against
+    its intended gate, per ancilla width.
 
-    Inputs may be a fixed state, a callable drawing one per trial from
-    an rng, or None for vacuum.  With ``sample`` false all outcomes are
-    pinned to zero, giving a deterministic distortion-only figure.  One
-    ``rng`` is shared by every width and trial.
+    Without ``rng`` every outcome is pinned to zero, giving a deterministic
+    distortion-only figure.  With one, every trial of every width draws its
+    outcomes in order from that one shared ``rng``, not from per-trial
+    substreams, so a trial cannot be replayed from its index alone.
     """
     omegas = [float(w) for w in omegas]
     if not omegas:
         raise InvalidOperationError("empty squeezing sweep")
     if trials < 1:
         raise InvalidOperationError("trials must be >= 1")
-    if sample and rng is None:
-        raise InvalidOperationError("sampled sweeps need an rng")
-    # a fixed input runs every trial as one stack; a drawn one is drawn before
-    # its trial's normals, so each of its trials is a stack of one
-    fixed = not callable(input_states)
-    source = vacuum(program.n_modes) if input_states is None else input_states
+    source = vacuum(program.n_modes)
     points = []
     for width in omegas:
         compiled = compile_program(program, width)
-        entries = compiled.schedule.entries
-        pins = None if sample else {entry.node: 0.0 for entry in entries}
-        records = []
-        for size in [trials] if fixed else [1] * trials:
-            planned = _PlannedProgram(compiled, source if fixed else input_states(rng))
-            normals = None if rng is None else rng.standard_normal((size, planned.plan.draws(pins)))
-            records += planned.records(range(size), normals, pins)
+        planned = _PlannedProgram(compiled, source)
+        pins = {entry.node: 0.0 for entry in compiled.schedule.entries} if rng is None else None
+        normals = None if rng is None else rng.standard_normal((trials, planned.plan.draws()))
+        records = planned.records(range(trials), normals, pins)
         summary = _summarize([record.fidelity for record in records])
-        points.append(
-            SweepPoint(
-                width, label, summary.mean_fidelity, summary.stderr, summary.trials
-            )
-        )
+        points.append(SweepPoint(width, summary.mean_fidelity, summary.stderr, summary.trials))
     return points
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -204,60 +204,44 @@ def _parse_keyed_floats(payload: Any, path: str) -> dict[int, float]:
     return parsed
 
 
+def _parse_input_mean(payload: Any, path: str) -> tuple[float, float]:
+    if not isinstance(payload, list) or len(payload) != 2:
+        raise ConfigError(f"{path}: expected [q, p]")
+    return _number(payload[0], f"{path}[0]"), _number(payload[1], f"{path}[1]")
+
+
+class ConfigKey(NamedTuple):
+    field: str  # the ExperimentConfig field the key fills
+    parse: Callable[[Any, str], Any]
+    commands: tuple[str, ...]  # the CLI commands that read the key
+
+
+# Every config key besides "schema", in the order error messages name them.
 CONFIG_KEYS = {
-    "schema",
-    "program",
-    "omega",
-    "omega_overrides",
-    "noise",
-    "trials",
-    "seed",
-    "window",
-    "chain_nodes",
-    "input_mean",
-    "pins",
+    "program": ConfigKey("program", parse_program, ("run", "sweep")),
+    "omega": ConfigKey("omega", _number, ("run", "postselect", "sweep")),
+    "pins": ConfigKey("pins", _parse_keyed_floats, ("run",)),
+    "omega_overrides": ConfigKey("omega_overrides", _parse_keyed_floats, ("run",)),
+    "noise": ConfigKey("budget", _parse_noise, ("run", "postselect")),
+    "input_mean": ConfigKey("input_mean", _parse_input_mean, ("run", "postselect")),
+    "trials": ConfigKey("trials", _integer, ("run", "postselect", "sweep")),
+    "seed": ConfigKey("seed", _integer, ("run", "postselect", "sweep")),
+    "window": ConfigKey("window", _number, ("postselect",)),
+    "chain_nodes": ConfigKey("chain_nodes", _integer, ("postselect",)),
 }
 
 
 def parse_config(payload: Any, path: str = "config") -> ExperimentConfig:
     payload = _require_mapping(payload, path)
     _check_schema(payload, path)
-    _reject_unknown(payload, CONFIG_KEYS, path)
-    kwargs: dict[str, Any] = {}
-    if "program" in payload:
-        kwargs["program"] = parse_program(payload["program"], f"{path}.program")
-    if "omega" in payload:
-        kwargs["omega"] = _number(payload["omega"], f"{path}.omega")
-    if "omega_overrides" in payload:
-        kwargs["omega_overrides"] = _parse_keyed_floats(
-            payload["omega_overrides"], f"{path}.omega_overrides"
-        )
-    if "noise" in payload:
-        kwargs["budget"] = _parse_noise(payload["noise"], f"{path}.noise")
-    if "trials" in payload:
-        kwargs["trials"] = _integer(payload["trials"], f"{path}.trials")
-    if "seed" in payload:
-        kwargs["seed"] = _integer(payload["seed"], f"{path}.seed")
-    if "window" in payload:
-        kwargs["window"] = _number(payload["window"], f"{path}.window")
-    if "chain_nodes" in payload:
-        kwargs["chain_nodes"] = _integer(payload["chain_nodes"], f"{path}.chain_nodes")
-    if "input_mean" in payload:
-        mean = payload["input_mean"]
-        if not isinstance(mean, list) or len(mean) != 2:
-            raise ConfigError(f"{path}.input_mean: expected [q, p]")
-        kwargs["input_mean"] = (
-            _number(mean[0], f"{path}.input_mean[0]"),
-            _number(mean[1], f"{path}.input_mean[1]"),
-        )
-    if "pins" in payload:
-        kwargs["pins"] = _parse_keyed_floats(payload["pins"], f"{path}.pins")
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except CVClusterError as error:
-        raise ConfigError(f"{path}: {error}") from error
+    _reject_unknown(payload, {"schema", *CONFIG_KEYS}, path)
+    return ExperimentConfig(
+        **{
+            key.field: key.parse(payload[name], f"{path}.{name}")
+            for name, key in CONFIG_KEYS.items()
+            if name in payload
+        }
+    )
 
 
 def trial_record_payload(record: TrialRecord) -> dict:

@@ -280,17 +280,7 @@ def test_wire_fidelity_drops_monotonically_with_width():
 
 def test_sampled_sweep_reports_spread():
     rng = np.random.default_rng(67)
-    points = fidelity_vs_squeezing(
-        fourier_wire(2),
-        [0.3],
-        input_states=lambda r: coherent(0.3, -0.1),
-        trials=4,
-        sample=True,
-        rng=rng,
-        label="wire",
-    )
-    point = points[0]
-    assert point.label == "wire"
+    point = fidelity_vs_squeezing(fourier_wire(2), [0.3], trials=4, rng=rng)[0]
     assert point.trials == 4
     assert 0.0 < point.mean_fidelity < 1.0
     assert np.isfinite(point.stderr)
@@ -301,5 +291,3 @@ def test_sweep_argument_validation():
         fidelity_vs_squeezing(fourier_wire(1), [])
     with pytest.raises(InvalidOperationError):
         fidelity_vs_squeezing(fourier_wire(1), [0.1], trials=0)
-    with pytest.raises(InvalidOperationError):
-        fidelity_vs_squeezing(fourier_wire(1), [0.1], sample=True)

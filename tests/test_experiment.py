@@ -465,25 +465,20 @@ def test_run_program_equals_preparing_every_trial_from_scratch(changes):
     assert run_program(config) == _per_trial_records(config)
 
 
-@pytest.mark.parametrize("sample", [True, False])
-@pytest.mark.parametrize("drawn", [True, False], ids=["callable_input", "fixed_input"])
-def test_sweep_equals_preparing_every_trial_from_scratch(sample, drawn):
-    def draw(rng):
-        return coherent(*(rng.normal(size=2) if rng is not None else (0.3, -0.1)))
-
-    inputs = draw if drawn else coherent(0.3, -0.1)
+@pytest.mark.parametrize("sample", [True, False], ids=["sampled", "pinned"])
+def test_sweep_equals_preparing_every_trial_from_scratch(sample):
     program = GateProgram(1, (Instruction("p", (0,), (0.4,)), Instruction("f", (0,))))
     omegas = [0.5, 0.2]
     points = fidelity_vs_squeezing(
-        program, omegas, inputs, trials=5, sample=sample, rng=np.random.default_rng(8)
+        program, omegas, trials=5, rng=np.random.default_rng(8) if sample else None
     )
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(8) if sample else None
+    source = vacuum(1)
     for width, point in zip(omegas, points):
         compiled = compile_program(program, width)
         pins = None if sample else {entry.node: 0.0 for entry in compiled.schedule.entries}
         values = []
         for _ in range(5):
-            source = inputs(rng) if drawn else inputs
             register = prepare_cluster_state(compiled, source)
             values.append(_scored_trial(compiled, register, source, rng, pins).fidelity)
         expected = _summarize(values)

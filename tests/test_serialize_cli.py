@@ -568,6 +568,72 @@ def test_cli_sweep_rejects_the_keys_it_never_reads(tmp_path, capsys):
     assert not out.exists()
 
 
+# The keys each command reads, written out here rather than taken from
+# serialize.CONFIG_KEYS, so a change to that table has to change this too.
+_READS = {
+    "run": {"program", "omega", "pins", "omega_overrides", "noise", "input_mean", "trials", "seed"},
+    "postselect": {"omega", "noise", "input_mean", "trials", "seed", "window", "chain_nodes"},
+    "sweep": {"program", "omega", "trials", "seed"},
+}
+_KEY_VALUES = {
+    "program": sample_program_payload(),
+    "omega": 0.2,
+    "pins": {},
+    "omega_overrides": {"0": 0.5},
+    "noise": {"per_link_variance": 0.01},
+    "input_mean": [0.5, -0.3],
+    "trials": 2,
+    "seed": 3,
+    "window": 0.3,
+    "chain_nodes": 6,
+}
+
+
+@pytest.mark.parametrize("key", list(_KEY_VALUES))
+@pytest.mark.parametrize("command", list(_READS))
+def test_cli_a_config_key_the_command_never_reads_exits_two_and_writes_nothing(
+    tmp_path, capsys, command, key
+):
+    payload = {"schema": 1, key: _KEY_VALUES[key]}
+    if command != "postselect":
+        payload["program"] = sample_program_payload()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    flags = ["--omegas", "0.3"] if command == "sweep" else []
+    code = main([command, "--config", str(path), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    if key in _READS[command]:
+        assert code == 0, err
+        assert out.is_dir()
+    else:
+        assert code == 2
+        assert err == f"config error: {command} does not read {key}\n"
+        assert not out.exists()
+
+
+def test_cli_pin_flag_on_a_config_whose_pins_are_not_an_object_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "program": sample_program_payload(), "pins": [1, 2]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--pin", "0=0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: config.pins: expected an object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "postselect", "sweep"])
+def test_cli_out_that_names_a_file_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    program = {} if command == "postselect" else {"program": sample_program_payload()}
+    path.write_text(json.dumps({"schema": 1, **program}))
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    flags = ["--omegas", "0.3"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}:")
+    assert out.read_text() == "kept\n"
+
+
 def test_cli_validate_reports_check_lines(monkeypatch, capsys):
     from cvcluster.validate import CheckResult
 
