@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -92,14 +93,21 @@ def _effective_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
 
 
 def _out_path(args: argparse.Namespace) -> Path | None:
+    """The ``--out`` directory, checked before a run but made only after it."""
     if not getattr(args, "out", None):
         return None
     path = Path(args.out)
+    existing = next(part for part in (path, *path.parents) if os.path.exists(part))
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
+    return path
+
+
+def _make_out(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as error:
         raise ConfigError(f"--out {path}: {error}") from error
-    return path
 
 
 def _record_rows(records: list[TrialRecord], nodes: list[int]) -> list[list]:
@@ -147,12 +155,13 @@ def _write_tomography(
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, digest = _effective_config(args)
+    out = _out_path(args)
     records = run_program(config)
     summary = _summarize([record.fidelity for record in records])
     print(f"config {digest[:12]} seed {config.seed} trials {config.trials}")
     print(f"mean fidelity {summary.mean_fidelity:.6f} +/- {summary.stderr:.6f}")
-    out = _out_path(args)
     if out is not None:
+        _make_out(out)
         _write_records(out, "trials", digest, config.seed, records)
         _write_tomography(out, "trials", digest, config.seed, records)
         print(f"wrote {out}/trials.jsonl and {out}/trials.csv")
@@ -161,6 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_postselect(args: argparse.Namespace) -> int:
     config, digest = _effective_config(args)
+    out = _out_path(args)
     summary = run_postselection_experiment(config)
     print(
         f"config {digest[:12]} seed {summary.seed} trials {summary.trials} "
@@ -178,8 +188,8 @@ def cmd_postselect(args: argparse.Namespace) -> int:
             f"+/- {summary.selected.stderr:.6f} ({summary.accepted_trials} accepted, "
             f"rate {summary.acceptance_rate:.4f})"
         )
-    out = _out_path(args)
     if out is not None:
+        _make_out(out)
         header = {"window": summary.window, "omega": summary.omega}
         for stem, records in (
             ("baseline", summary.baseline_records),
@@ -232,6 +242,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--omegas expects comma-separated numbers") from error
     if not omegas or not all(np.isfinite(w) and w > 0 for w in omegas):
         raise ConfigError("--omegas needs one or more positive, finite widths")
+    out = _out_path(args)
     rng = np.random.default_rng(config.seed) if config.trials > 1 else None
     points = fidelity_vs_squeezing(config.program, omegas, trials=config.trials, rng=rng)
     print(f"config {digest[:12]} seed {config.seed} trials {config.trials}")
@@ -240,8 +251,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"omega {point.omega:<8g} fidelity {point.mean_fidelity:.6f} "
             f"+/- {point.stderr:.6f}"
         )
-    out = _out_path(args)
     if out is not None:
+        _make_out(out)
         write_csv(
             out / "sweep.csv",
             digest,

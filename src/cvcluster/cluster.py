@@ -79,9 +79,6 @@ class ClusterGraph:
     def node_ids(self) -> list[int]:
         return [i for i, _ in self.nodes]
 
-    def omega(self, node_id: int) -> float:
-        return self.nodes[self.mode_index(node_id)][1]
-
     def mode_index(self, node_id: int) -> int:
         try:
             return self._modes[node_id]

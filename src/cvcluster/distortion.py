@@ -49,14 +49,6 @@ class DistortionEnvelope:
         if not np.isfinite(self.center):
             raise InvalidOperationError("envelope center must be finite")
 
-    @property
-    def position_variance(self) -> float:
-        return self.omega**-2
-
-    @property
-    def momentum_variance(self) -> float:
-        return self.omega**2
-
 
 @dataclass(frozen=True)
 class NoiseBudget:
@@ -96,10 +88,6 @@ class NoiseBudget:
             else self.per_link_variance_p
         )
         return vq, vp
-
-    @property
-    def is_zero(self) -> bool:
-        return self.link_variances() == (0.0, 0.0) and self.input_excess_variance == 0.0
 
 
 def wavefunction_parameters(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
@@ -236,10 +224,6 @@ class AccumulatedDistortion:
         for term in self.terms:
             state = term.apply(state)
         return state
-
-    def active_terms(self, threshold: float = 1e-3) -> tuple[LinearFormEnvelope, ...]:
-        """Terms whose attenuation is non-negligible at the given width."""
-        return tuple(t for t in self.terms if t.omega > threshold)
 
 
 def _outcome_map(compiled: CompiledProgram, outcomes) -> dict[int, float]:

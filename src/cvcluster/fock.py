@@ -84,9 +84,6 @@ class FockState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "FockState":
-        return FockState(self.amplitudes / self.norm(), self.truncation_safe)
-
     def leakage(self) -> float:
         """Largest per-mode population in the top two levels."""
         worst = 0.0

@@ -95,14 +95,6 @@ class GaussianState:
         idx = list(order) + [n + m for m in order]
         return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)], validate=False)
 
-    def reduced(self, modes: list[int] | tuple[int, ...]) -> "GaussianState":
-        """Marginal state of the given modes, in the given order."""
-        n = self.n_modes
-        if any(m < 0 or m >= n for m in modes):
-            raise InvalidOperationError("mode index out of range")
-        idx = list(modes) + [n + m for m in modes]
-        return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)], validate=False)
-
 
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     n = cov.shape[0] // 2

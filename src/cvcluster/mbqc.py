@@ -389,16 +389,6 @@ class ByproductFrame:
     def n_modes(self) -> int:
         return self.affine.n_modes
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return self.affine.is_identity(tol)
-
-    def per_mode(self) -> list[SymplecticAffine]:
-        """Single-mode view; fails if byproducts couple wires."""
-        try:
-            return self.affine.single_mode_parts()
-        except InvalidOperationError as exc:
-            raise FrameError(str(exc)) from exc
-
 
 class _Resolution(NamedTuple):
     """Covariance half of :func:`resolve_frame`: the inverse of the

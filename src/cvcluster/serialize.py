@@ -1,5 +1,5 @@
-"""JSON interchange for graphs, programs, schedules, and run configs,
-plus the file writers used by the command-line tools.
+"""Parsing of run configs (and the gate programs inside them), plus
+the file writers used by the command-line tools.
 
 Every document carries ``"schema": 1``.  Parsers reject unknown keys
 and report the path to the offending field, so a typo in a config file
@@ -15,11 +15,10 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .cluster import ClusterGraph
 from .distortion import NoiseBudget
 from .exceptions import ConfigError, CVClusterError
 from .experiment import ExperimentConfig, TomographySummary, TrialRecord
-from .mbqc import CompiledProgram, GateProgram, Instruction
+from .mbqc import GateProgram, Instruction
 
 SCHEMA_VERSION = 1
 
@@ -73,45 +72,6 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
-def parse_graph(payload: Any, path: str = "graph") -> ClusterGraph:
-    payload = _require_mapping(payload, path)
-    _check_schema(payload, path)
-    _reject_unknown(payload, {"schema", "nodes", "edges"}, path)
-    nodes = []
-    for i, node in enumerate(payload.get("nodes", [])):
-        node = _require_mapping(node, f"{path}.nodes[{i}]")
-        _reject_unknown(node, {"id", "omega"}, f"{path}.nodes[{i}]")
-        nodes.append(
-            (
-                _integer(node.get("id"), f"{path}.nodes[{i}].id"),
-                _number(node.get("omega", 0.1), f"{path}.nodes[{i}].omega"),
-            )
-        )
-    edges = []
-    for i, edge in enumerate(payload.get("edges", [])):
-        edge = _require_mapping(edge, f"{path}.edges[{i}]")
-        _reject_unknown(edge, {"a", "b", "weight"}, f"{path}.edges[{i}]")
-        edges.append(
-            (
-                _integer(edge.get("a"), f"{path}.edges[{i}].a"),
-                _integer(edge.get("b"), f"{path}.edges[{i}].b"),
-                _number(edge.get("weight", 1.0), f"{path}.edges[{i}].weight"),
-            )
-        )
-    try:
-        return ClusterGraph(nodes, edges)
-    except CVClusterError as error:
-        raise ConfigError(f"{path}: {error}") from error
-
-
-def dump_graph(graph: ClusterGraph) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "nodes": [{"id": n, "omega": w} for n, w in graph.nodes],
-        "edges": [{"a": a, "b": b, "weight": g} for a, b, g in graph.edges],
-    }
-
-
 def parse_program(payload: Any, path: str = "program") -> GateProgram:
     payload = _require_mapping(payload, path)
     _check_schema(payload, path)
@@ -142,37 +102,6 @@ def parse_program(payload: Any, path: str = "program") -> GateProgram:
         raise ConfigError(f"{path}: {error}") from error
 
 
-def dump_program(program: GateProgram) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "modes": program.n_modes,
-        "ops": [
-            {"kind": op.kind, "params": list(op.params), "targets": list(op.targets)}
-            for op in program.ops
-        ],
-    }
-
-
-def dump_schedule(compiled: CompiledProgram) -> dict:
-    entries = []
-    for entry in compiled.schedule.entries:
-        entries.append(
-            {
-                "node": entry.node,
-                "wire": entry.wire,
-                "step": entry.step_index,
-                "barrier": entry.barrier,
-                "basis": {
-                    "type": "homodyne",
-                    "theta": entry.basis.theta,
-                    "rescale": entry.basis.rescale,
-                    "offset": entry.basis.offset,
-                },
-            }
-        )
-    return {"schema": SCHEMA_VERSION, "entries": entries}
-
-
 def _parse_noise(payload: Any, path: str) -> NoiseBudget:
     payload = _require_mapping(payload, path)
     allowed = {
@@ -200,6 +129,8 @@ def _parse_keyed_floats(payload: Any, path: str) -> dict[int, float]:
             node = int(key)
         except ValueError as error:
             raise ConfigError(f"{path}: key {key!r} is not a node id") from error
+        if node in parsed:
+            raise ConfigError(f"{path}: key {key!r} repeats node {node}")
         parsed[node] = _number(value, f"{path}.{key}")
     return parsed
 

@@ -46,9 +46,9 @@ class SymplecticAffine:
     The matrix acts on means directly; covariances transform as
     S V S^T.  Direct construction and the gate constructors below check
     their input and reject matrices that fail S^T Sigma S = Sigma beyond
-    ``SYMPLECTIC_TOL``.  ``identity``, ``compose``, ``inverse``, ``embed``
-    and ``single_mode_parts`` derive their result from maps that were
-    already checked, so they build it without checking again.
+    ``SYMPLECTIC_TOL``.  ``identity``, ``compose``, ``inverse`` and
+    ``embed`` derive their result from maps that were already checked,
+    so they build it without checking again.
     """
 
     matrix: np.ndarray
@@ -119,23 +119,6 @@ class SymplecticAffine:
             np.max(np.abs(self.matrix - np.eye(self.matrix.shape[0]))) <= tol
             and np.max(np.abs(self.shift)) <= tol
         )
-
-    def single_mode_parts(self, tol: float = 1e-12) -> list["SymplecticAffine"]:
-        """Split into per-mode maps; raises if modes are coupled."""
-        n = self.n_modes
-        parts = []
-        mask = np.ones_like(self.matrix, dtype=bool)
-        for m in range(n):
-            idx = [m, n + m]
-            mask[np.ix_(idx, idx)] = False
-        if np.max(np.abs(self.matrix[mask])) > tol:
-            raise InvalidOperationError("map couples modes; no per-mode split exists")
-        for m in range(n):
-            idx = [m, n + m]
-            parts.append(
-                SymplecticAffine._derived(self.matrix[np.ix_(idx, idx)], self.shift[idx])
-            )
-        return parts
 
 
 def shift_q(s: float) -> SymplecticAffine:

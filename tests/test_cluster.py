@@ -45,7 +45,6 @@ def test_two_tuple_edges_default_to_unit_weight():
     graph = ClusterGraph(nodes=[(1, 0.3), (2, 0.3)], edges=[(1, 2)])
     assert graph.edges == [(1, 2, 1.0)]
     assert graph.mode_index(2) == 1
-    assert graph.omega(2) == 0.3
 
 
 def test_single_node_cluster_is_a_squeezed_vacuum():

@@ -246,7 +246,7 @@ def test_baseline_arm_is_a_compiled_fourier_chain_trial(budget):
         for trial, record in enumerate(baseline):
             rng = trial_rng(seed, trial, 0)
             source = apply_input_noise(vacuum(1), budget)
-            if budget.is_zero:
+            if budget == NoiseBudget():
                 register = prepare_cluster_state(chain, source)
             else:
                 # each link's noise lands right after that link

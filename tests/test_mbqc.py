@@ -394,16 +394,6 @@ def test_frame_mode_count_must_match():
         resolve_frame(vacuum(1), frame)
 
 
-def test_frame_per_mode_view():
-    single = shift_q(0.5).embed(2, [0]).compose(fourier().embed(2, [1]))
-    parts = ByproductFrame(single).per_mode()
-    assert len(parts) == 2
-    np.testing.assert_allclose(parts[0].shift, [0.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(parts[1].matrix, fourier().matrix, atol=1e-12)
-    with pytest.raises(FrameError):
-        ByproductFrame(controlled_phase(0.7)).per_mode()
-
-
 def test_long_wire_keeps_the_nullifier_law_and_matches_stepwise_teleportation():
     # long enough that every link and readout acts on a wide register
     program = fourier_wire(319)

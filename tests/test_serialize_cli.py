@@ -1,4 +1,4 @@
-"""JSON interchange, file writers, and the command-line entry point."""
+"""Config parsing, file writers, and the command-line entry point."""
 
 import json
 import os
@@ -11,19 +11,14 @@ import pytest
 
 import cvcluster
 from cvcluster.cli import main
-from cvcluster.cluster import ClusterGraph
 from cvcluster.exceptions import ConfigError
 from cvcluster.experiment import tomography_summary
 from cvcluster.gaussian import vacuum
-from cvcluster.mbqc import GateProgram, Instruction, compile_program
+from cvcluster.mbqc import Instruction
 from cvcluster.serialize import (
     config_hash,
-    dump_graph,
-    dump_program,
-    dump_schedule,
     load_json,
     parse_config,
-    parse_graph,
     parse_program,
     write_csv,
     write_jsonl,
@@ -42,27 +37,17 @@ def sample_program_payload():
     }
 
 
-def test_graph_round_trip():
-    graph = ClusterGraph(
-        nodes=[(1, 0.3), (2, 0.5)], edges=[(1, 2, 0.8)]
-    )
-    rebuilt = parse_graph(dump_graph(graph))
-    assert list(rebuilt.nodes) == list(graph.nodes)
-    assert list(rebuilt.edges) == list(graph.edges)
-
-
 def test_program_round_trip():
     program = parse_program(sample_program_payload())
     assert program.n_modes == 1
     assert program.ops[0] == Instruction("p", (0,), (0.5,))
-    assert dump_program(program) == sample_program_payload()
 
 
 def test_unknown_keys_are_rejected_with_a_path():
-    with pytest.raises(ConfigError, match="graph"):
-        parse_graph({"schema": 1, "nodes": [], "edges": [], "extra": 1})
-    with pytest.raises(ConfigError, match=r"nodes\[0\]"):
-        parse_graph({"schema": 1, "nodes": [{"id": 1, "width": 0.1}]})
+    with pytest.raises(ConfigError, match="program"):
+        parse_program({**sample_program_payload(), "extra": 1})
+    with pytest.raises(ConfigError, match=r"ops\[0\]: unknown keys"):
+        parse_program({"schema": 1, "modes": 1, "ops": [{"kind": "f", "width": 0.1}]})
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_config({"schema": 1, "windowing": 0.5})
 
@@ -73,16 +58,18 @@ def test_wrong_schema_and_wrong_types_are_rejected():
     with pytest.raises(ConfigError, match="schema"):
         parse_program(payload)
     with pytest.raises(ConfigError, match="expected a number"):
-        parse_graph({"schema": 1, "nodes": [{"id": 1, "omega": True}]})
+        parse_program(
+            {"schema": 1, "modes": 1, "ops": [{"kind": "p", "params": [True], "targets": [0]}]}
+        )
     with pytest.raises(ConfigError, match="expected an integer"):
         parse_config({"schema": 1, "trials": True})
     with pytest.raises(ConfigError, match="expected an object"):
-        parse_graph([1, 2])
+        parse_program([1, 2])
 
 
 def test_domain_errors_surface_as_config_errors():
     with pytest.raises(ConfigError):
-        parse_graph({"schema": 1, "nodes": [{"id": 1}, {"id": 1}]})
+        parse_program({"schema": 1, "modes": 0, "ops": []})
     with pytest.raises(ConfigError):
         parse_program(
             {"schema": 1, "modes": 1, "ops": [{"kind": "hadamard", "targets": [0]}]}
@@ -117,22 +104,15 @@ def test_parse_config_full_payload():
         parse_config({"schema": 1, "pins": {"abc": 0.3}})
     with pytest.raises(ConfigError, match="input_mean"):
         parse_config({"schema": 1, "input_mean": [0.1]})
+    with pytest.raises(ConfigError, match="pins: key '01' repeats node 1"):
+        parse_config({"schema": 1, "pins": {"1": 0.3, "01": 0.5}})
+    with pytest.raises(ConfigError, match="omega_overrides: key '00' repeats node 0"):
+        parse_config({"schema": 1, "omega_overrides": {"0": 0.2, "00": 0.5}})
 
 
 def test_config_hash_is_order_stable_and_value_sensitive():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
-
-
-def test_dump_schedule_structure():
-    compiled = compile_program(parse_program(sample_program_payload()), omega=0.1)
-    payload = dump_schedule(compiled)
-    assert payload["schema"] == 1
-    assert len(payload["entries"]) == 2
-    first = payload["entries"][0]
-    assert set(first) == {"node", "wire", "step", "barrier", "basis"}
-    assert first["basis"]["type"] == "homodyne"
-    assert first["basis"]["rescale"] == pytest.approx(1.0 / np.sqrt(1.25))
 
 
 def test_jsonl_writer_headers_and_records(tmp_path):
@@ -210,6 +190,12 @@ def test_cli_run_writes_record_files(tmp_path, program_config, capsys):
     assert len(header["config_hash"]) == 64
     csv_lines = (out / "trials.csv").read_text().splitlines()
     assert csv_lines[3].startswith("index,accepted,fidelity")
+
+
+def test_every_exported_name_resolves_on_the_package():
+    namespace: dict = {}
+    exec("from cvcluster import *", namespace)
+    assert set(cvcluster.__all__) <= set(namespace)
 
 
 def test_python_m_cvcluster_runs_the_command_line(tmp_path, program_config):
@@ -621,17 +607,21 @@ def test_cli_pin_flag_on_a_config_whose_pins_are_not_an_object_exits_two(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
 @pytest.mark.parametrize("command", ["run", "postselect", "sweep"])
-def test_cli_out_that_names_a_file_exits_two(tmp_path, capsys, command):
+def test_cli_out_that_names_a_file_exits_two(tmp_path, capsys, command, below):
     path = tmp_path / "config.json"
     program = {} if command == "postselect" else {"program": sample_program_payload()}
     path.write_text(json.dumps({"schema": 1, **program}))
-    out = tmp_path / "taken"
-    out.write_text("kept\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / below if below else taken
     flags = ["--omegas", "0.3"] if command == "sweep" else []
     assert main([command, "--config", str(path), *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: --out {out}:")
-    assert out.read_text() == "kept\n"
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"config error: --out {out}: {taken} is not a directory\n"
+    assert taken.read_text() == "kept\n"
 
 
 def test_cli_validate_reports_check_lines(monkeypatch, capsys):

@@ -132,15 +132,6 @@ def test_compose_inverse_round_trip_property():
         assert total.inverse().compose(total).is_identity(tol=1e-9)
 
 
-def test_single_mode_parts_split_and_rejection():
-    local = rotation(0.4).embed(2, [0]).compose(quadratic_phase(0.9).embed(2, [1]))
-    parts = local.single_mode_parts()
-    np.testing.assert_allclose(parts[0].matrix, rotation(0.4).matrix, atol=1e-12)
-    np.testing.assert_allclose(parts[1].matrix, quadratic_phase(0.9).matrix, atol=1e-12)
-    with pytest.raises(InvalidOperationError):
-        controlled_phase().single_mode_parts()
-
-
 def test_gate_catalog_builds_valid_maps():
     catalog = gate_matrices()
     assert set(catalog) == {
