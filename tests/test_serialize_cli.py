@@ -607,6 +607,29 @@ def test_cli_pin_flag_on_a_config_whose_pins_are_not_an_object_exits_two(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, flags, message",
+    [
+        ({"pins": {"1": 0.3, "01": 0.5}}, [], "pins: key '01' repeats node 1"),
+        ({"omega_overrides": {"0": 0.2, "00": 0.5}}, [], "omega_overrides: key '00' repeats node 0"),
+        ({"pins": {"01": 0.3}}, ["--pin", "1=0.5"], "pins: key '1' repeats node 1"),
+    ],
+    ids=["pins", "omega_overrides", "pin_flag"],
+)
+def test_cli_a_repeated_node_key_exits_two_and_writes_nothing(
+    tmp_path, capsys, extra, flags, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": 1, "program": sample_program_payload(), **extra}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("config error:")
+    assert message in printed.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", ["", "sub"])
 @pytest.mark.parametrize("command", ["run", "postselect", "sweep"])
 def test_cli_out_that_names_a_file_exits_two(tmp_path, capsys, command, below):
