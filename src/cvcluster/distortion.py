@@ -2,14 +2,16 @@
 
 Every teleportation off a finitely squeezed node multiplies the
 position wavefunction of the advanced wire by a Gaussian envelope.
-This module applies such envelopes in closed form to pure Gaussian
-states, gathers the envelopes of a whole run into a single distortion
-acting on the program input (with the ideal outcome-resolved map
-applied afterwards), and models interaction-link noise budgets.
+This module applies such envelopes in closed form to Gaussian states,
+gathers the envelopes of a whole run into a single distortion acting
+on the program input (with the ideal outcome-resolved map applied
+afterwards), and models interaction-link noise budgets.
 
-Pure Gaussian states are handled through their position wavefunction
-``psi(x) ~ exp(-x^T G x / 2 + b^T x)`` with complex ``G`` and ``b``;
-multiplying by an envelope is a rank-one update of ``(G, b)``.
+An envelope exp(-omega^2 (l.x + c)^2 / 2) is a readout of the
+quadrature form l.x through a pointer of position variance
+1/(2 omega^2), conditioned on the value -c: one covariance update that
+holds for pure and mixed states alike.  Pure states also convert to
+and from their position wavefunction ``psi(x) ~ exp(-x^T G x / 2 + b^T x)``.
 """
 
 from __future__ import annotations
@@ -19,35 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidOperationError, InvalidStateError
-from .gaussian import GaussianState, _add_link_kicks, _add_link_variance, apply_affine
+from .gaussian import GaussianState, _add_link_kicks, _add_link_variance
 from .mbqc import (
     DEFAULT_ANCILLA_OMEGA,
     CompiledProgram,
     GateProgram,
     compile_program,
 )
-from .symplectic import SymplecticAffine
+from .symplectic import SymplecticAffine, symplectic_form
 
 NEGLIGIBLE_STRENGTH = 1e-9
-
-
-@dataclass(frozen=True)
-class DistortionEnvelope:
-    """Position-space Gaussian attenuation exp(-omega^2 (q - c)^2 / 2).
-
-    The position-space variance of the envelope profile is omega^-2;
-    equivalently the momentum wavefunction is convolved with a Gaussian
-    of variance omega^2.
-    """
-
-    omega: float
-    center: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise InvalidOperationError("envelope width must be positive and finite")
-        if not np.isfinite(self.center):
-            raise InvalidOperationError("envelope center must be finite")
 
 
 @dataclass(frozen=True)
@@ -131,6 +114,31 @@ def state_from_wavefunction(gamma: np.ndarray, beta: np.ndarray) -> GaussianStat
     return GaussianState(np.concatenate([m_q, m_p]), cov)
 
 
+def _apply_envelope(
+    state: GaussianState, form: np.ndarray, offset: float, omega: float
+) -> GaussianState:
+    """Multiply a state by exp(-omega^2 (form . x + offset)^2 / 2) and renormalize.
+
+    A readout of ``form . x`` through a pointer of position variance
+    1/(2 omega^2) that returns -offset: the pointer kicks the conjugate
+    direction Sigma form, then the state is conditioned on the readout
+    with the rank-one update of a homodyne measurement.
+    """
+    if not (np.isfinite(omega) and omega > 0):
+        raise InvalidOperationError("envelope width must be positive and finite")
+    if not np.isfinite(offset):
+        raise InvalidOperationError("envelope center must be finite")
+    if omega * np.linalg.norm(form) < NEGLIGIBLE_STRENGTH:
+        # a constant attenuation factor, removed by renormalization
+        return state
+    kick = symplectic_form(state.n_modes) @ form
+    cov = state.cov + (0.5 * omega * omega) * np.outer(kick, kick)
+    cross = cov @ form
+    var = form @ cross + 0.5 / (omega * omega)
+    mean = state.mean + cross * ((-offset - form @ state.mean) / var)
+    return GaussianState(mean, cov - np.outer(cross, cross) / var, validate=False)
+
+
 def apply_position_envelope(
     state: GaussianState, mode: int, omega: float, center: float = 0.0
 ) -> GaussianState:
@@ -138,42 +146,16 @@ def apply_position_envelope(
     exp(-omega^2 (q - center)^2 / 2) and renormalize."""
     if mode < 0 or mode >= state.n_modes:
         raise InvalidOperationError("envelope mode out of range")
-    gamma, beta = wavefunction_parameters(state)
-    strength = omega * omega
-    gamma[mode, mode] += strength
-    beta[mode] += strength * center
-    return state_from_wavefunction(gamma, beta)
-
-
-def apply_envelope(state: GaussianState, env: DistortionEnvelope) -> GaussianState:
-    """Single-mode distortion envelope, closed form."""
-    if state.n_modes != 1:
-        raise InvalidOperationError(
-            "apply_envelope takes a single mode; marginalize first"
-        )
-    return apply_position_envelope(state, 0, env.omega, env.center)
-
-
-def _complete_unitary(first_row: np.ndarray) -> np.ndarray:
-    """Unitary matrix whose first row is the given unit vector."""
-    n = first_row.size
-    seed = np.eye(n, dtype=complex)
-    seed[:, 0] = np.conj(first_row)
-    q, _ = np.linalg.qr(seed)
-    phase = np.vdot(q[:, 0], np.conj(first_row))
-    q[:, 0] = q[:, 0] * phase
-    return q.conj().T
+    form = np.zeros(2 * state.n_modes)
+    form[mode] = 1.0
+    return _apply_envelope(state, form, -center, omega)
 
 
 @dataclass(frozen=True)
 class LinearFormEnvelope:
     """Attenuation exp(-omega^2 L^2 / 2) for a quadrature linear form
-    L = sum_j (cq_j q_j + cp_j p_j) + offset.
-
-    Applied by rotating the form onto a single position axis with a
-    passive transformation, using the closed-form single-mode envelope
-    there, and rotating back.
-    """
+    L = sum_j (cq_j q_j + cp_j p_j) + offset, applied as one covariance
+    update (see :func:`_apply_envelope`)."""
 
     coeff_q: tuple[float, ...]
     coeff_p: tuple[float, ...]
@@ -187,26 +169,8 @@ class LinearFormEnvelope:
     def apply(self, state: GaussianState) -> GaussianState:
         if state.n_modes != self.n_modes:
             raise InvalidOperationError("linear form and state mode counts differ")
-        u = np.asarray(self.coeff_q, dtype=float)
-        v = np.asarray(self.coeff_p, dtype=float)
-        zeta = u + 1j * v
-        radius = float(np.linalg.norm(zeta))
-        if self.omega * radius < NEGLIGIBLE_STRENGTH:
-            # a constant attenuation factor, removed by renormalization
-            return state
-        unitary = _complete_unitary(np.conj(zeta) / radius)
-        n = self.n_modes
-        rot = np.zeros((2 * n, 2 * n))
-        rot[:n, :n] = unitary.real
-        rot[:n, n:] = -unitary.imag
-        rot[n:, :n] = unitary.imag
-        rot[n:, n:] = unitary.real
-        rotation = SymplecticAffine(rot, np.zeros(2 * n))
-        rotated = apply_affine(state, rotation)
-        attenuated = apply_position_envelope(
-            rotated, 0, self.omega * radius, -self.offset / radius
-        )
-        return apply_affine(attenuated, rotation.inverse())
+        form = np.concatenate([self.coeff_q, self.coeff_p])
+        return _apply_envelope(state, form, self.offset, self.omega)
 
 
 @dataclass(frozen=True)
@@ -232,12 +196,18 @@ def _outcome_map(compiled: CompiledProgram, outcomes) -> dict[int, float]:
         missing = [e.node for e in entries if e.node not in outcomes]
         if missing:
             raise InvalidOperationError(f"missing outcomes for nodes {missing}")
-        return {e.node: float(outcomes[e.node]) for e in entries}
-    values = [float(s) for s in outcomes]
+        stray = sorted(set(outcomes) - {e.node for e in entries})
+        if stray:
+            raise InvalidOperationError(f"outcomes name no measured node: {stray}")
+        values = [float(outcomes[e.node]) for e in entries]
+    else:
+        values = [float(s) for s in outcomes]
     if len(values) != len(entries):
         raise InvalidOperationError(
             f"expected {len(entries)} outcomes, got {len(values)}"
         )
+    if not np.all(np.isfinite(values)):
+        raise InvalidOperationError("outcomes must be finite")
     return {entry.node: value for entry, value in zip(entries, values)}
 
 

@@ -81,9 +81,6 @@ class FockState:
     def dims(self) -> tuple[int, ...]:
         return self.amplitudes.shape
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def leakage(self) -> float:
         """Largest per-mode population in the top two levels."""
         worst = 0.0

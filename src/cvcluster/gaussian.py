@@ -323,15 +323,13 @@ def _gaussian_exponential(total: np.ndarray, delta: np.ndarray):
 
 
 def _principal_root(matrix: np.ndarray) -> np.ndarray:
-    """``sqrtm``, or the eigendecomposition's root where ``sqrtm`` warns, as on
-    a mixed state's singular argument (some symplectic eigenvalues at 1/2)."""
+    """``sqrtm``'s root.  The ``LinAlgWarning`` it gives on a mixed state's
+    singular argument (some symplectic eigenvalues at 1/2) is caught: the
+    root stays accurate there, while the argument can be too close to
+    defective for an eigendecomposition."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            return scipy.linalg.sqrtm(matrix)
-        except scipy.linalg.LinAlgWarning:
-            values, vectors = np.linalg.eig(matrix)
-            return (vectors * np.sqrt(values.astype(complex))) @ np.linalg.inv(vectors)
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.sqrtm(matrix)
 
 
 def _mixed_fidelity_factor(cov_a: np.ndarray, cov_b: np.ndarray, total: np.ndarray):

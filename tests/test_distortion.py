@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cvcluster.distortion import (
     AccumulatedDistortion,
-    DistortionEnvelope,
     LinearFormEnvelope,
     NoiseBudget,
-    apply_envelope,
     apply_input_noise,
     apply_position_envelope,
     apply_qnd_noise,
@@ -28,35 +29,42 @@ from cvcluster.mbqc import (
 )
 from cvcluster.symplectic import fourier
 
-from conftest import fourier_wire, random_gaussian_program
+from conftest import fourier_wire, mixed_states, random_gaussian_program
 
 
 def test_envelope_validation_and_widths():
-    DistortionEnvelope(0.5)
-    with pytest.raises(InvalidOperationError):
-        DistortionEnvelope(0.0)
-    with pytest.raises(InvalidOperationError):
-        DistortionEnvelope(0.5, center=float("inf"))
+    state = coherent(0.4, -0.2)
+    width_error = "width must be positive and finite"
+    for bad in (0.0, -0.8, float("inf"), float("nan")):
+        with pytest.raises(InvalidOperationError, match=width_error):
+            apply_position_envelope(state, 0, bad, 0.4)
+        with pytest.raises(InvalidOperationError, match=width_error):
+            LinearFormEnvelope((1.0,), (0.0,), -0.4, bad).apply(state)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvalidOperationError, match="center must be finite"):
+            apply_position_envelope(state, 0, 0.5, bad)
+        with pytest.raises(InvalidOperationError, match="center must be finite"):
+            LinearFormEnvelope((1.0,), (0.0,), bad, 0.5).apply(state)
+    apply_position_envelope(state, 0, 0.5)
 
 
 def test_unit_envelope_narrows_vacuum():
-    out = apply_envelope(vacuum(1), DistortionEnvelope(1.0))
+    out = apply_position_envelope(vacuum(1), 0, 1.0)
     np.testing.assert_allclose(out.cov, np.diag([0.25, 1.0]), atol=1e-12)
     np.testing.assert_allclose(out.mean, [0.0, 0.0], atol=1e-12)
 
 
 def test_envelope_pulls_mean_toward_its_center():
-    out = apply_envelope(coherent(1.5, 0.3), DistortionEnvelope(1.0))
+    out = apply_position_envelope(coherent(1.5, 0.3), 0, 1.0)
     np.testing.assert_allclose(out.mean, [0.75, 0.3], atol=1e-12)
-    centered = apply_envelope(vacuum(1), DistortionEnvelope(1.0, center=2.0))
+    centered = apply_position_envelope(vacuum(1), 0, 1.0, center=2.0)
     np.testing.assert_allclose(centered.mean, [1.0, 0.0], atol=1e-12)
 
 
 def test_envelope_needs_a_single_mode():
-    with pytest.raises(InvalidOperationError):
-        apply_envelope(vacuum(2), DistortionEnvelope(1.0))
-    with pytest.raises(InvalidOperationError):
-        apply_position_envelope(vacuum(1), 3, 1.0)
+    for mode in (3, -1):
+        with pytest.raises(InvalidOperationError, match="out of range"):
+            apply_position_envelope(vacuum(1), mode, 1.0)
 
 
 def test_wavefunction_round_trip_on_random_pure_states():
@@ -184,6 +192,57 @@ def test_two_step_wire_decomposition_is_exact():
     np.testing.assert_allclose(rebuilt.cov, run.state.cov, atol=1e-10)
 
 
+def test_decomposition_rebuilds_a_run_on_a_mixed_input():
+    program = GateProgram(
+        2,
+        (
+            Instruction("p", (0,), (0.5,)),
+            Instruction("cz", (0, 1)),
+            Instruction("f", (1,)),
+        ),
+    )
+    width = 0.3
+    compiled = compile_program(program, omega=width)
+    source = apply_input_noise(
+        coherent(0.4, -0.1).tensor(coherent(-0.2, 0.3)),
+        NoiseBudget(input_excess_variance=0.2),
+    )
+    assert not source.is_pure()
+    register = prepare_cluster_state(compiled, source)
+    rng = np.random.default_rng(71)
+    for _ in range(4):
+        pins = {
+            entry.node: float(rng.normal(0.0, 0.8))
+            for entry in compiled.schedule.entries
+        }
+        run = run_schedule(register, compiled, pins=pins)
+        prefix, dist = decompose_distortion(program, pins, omega=width)
+        rebuilt = apply_affine(dist.apply(source), prefix)
+        np.testing.assert_allclose(rebuilt.mean, run.state.mean, atol=1e-10)
+        np.testing.assert_allclose(rebuilt.cov, run.state.cov, atol=1e-10)
+
+
+def _forms_on(state):
+    n = state.n_modes
+    coefficients = arrays(np.float64, 2 * n, elements=st.floats(-2.0, 2.0))
+    return st.tuples(
+        st.just(state), coefficients, st.floats(-3.0, 3.0), st.floats(0.05, 5.0)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(mixed_states).flatmap(_forms_on))
+def test_linear_form_keeps_a_mixed_state_physical(case):
+    state, coefficients, offset, width = case
+    n = state.n_modes
+    term = LinearFormEnvelope(
+        tuple(coefficients[:n]), tuple(coefficients[n:]), offset, width
+    )
+    out = term.apply(state)
+    # a validated state raises on any uncertainty violation
+    GaussianState(out.mean, out.cov)
+
+
 def test_decomposition_outcome_plumbing():
     program = fourier_wire(2)
     by_sequence = decompose_distortion(program, [0.3, -0.2], omega=0.3)
@@ -195,6 +254,11 @@ def test_decomposition_outcome_plumbing():
         decompose_distortion(program, [0.3], omega=0.3)
     with pytest.raises(InvalidOperationError):
         decompose_distortion(program, {0: 0.3}, omega=0.3)
+    with pytest.raises(InvalidOperationError, match="no measured node"):
+        decompose_distortion(program, {0: 0.3, 1: -0.2, 99: 5.0}, omega=0.3)
+    for pins in ([0.3, float("nan")], {0: float("inf"), 1: -0.2}):
+        with pytest.raises(InvalidOperationError, match="finite"):
+            decompose_distortion(program, pins, omega=0.3)
 
 
 def test_noise_budget_validation_and_overrides():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cvcluster.distortion import apply_position_envelope
 from cvcluster.exceptions import (
     InvalidOperationError,
     MeasurementError,
@@ -145,6 +146,23 @@ def test_envelope_pulls_displaced_mean_toward_center():
     state = fock_position_envelope(fock_coherent(1.5, 0.3), 0, 1.0, 0.0)
     mean, _ = moments(state)
     np.testing.assert_allclose(mean, [0.75, 0.3], atol=1e-8)
+
+
+def test_envelope_moments_match_the_gaussian_engine():
+    cases = (
+        (fock_coherent(0.8, -0.5), coherent(0.8, -0.5)),
+        (fock_squeezed_vacuum_p(0.8), squeezed_vacuum_p(0.8)),
+        (
+            fock_shear(fock_squeezed_vacuum_p(0.8), 0, 0.7),
+            apply_affine(squeezed_vacuum_p(0.8), quadratic_phase(0.7)),
+        ),
+    )
+    for fock_state, gaussian_state in cases:
+        for width, center in ((0.6, 0.0), (1.3, -0.7)):
+            mean, cov = moments(fock_position_envelope(fock_state, 0, width, center))
+            expected = apply_position_envelope(gaussian_state, 0, width, center)
+            np.testing.assert_allclose(mean, expected.mean, atol=1e-8)
+            np.testing.assert_allclose(cov, expected.cov, atol=1e-8)
 
 
 def test_vacuum_quadrature_density_variance():

@@ -306,6 +306,25 @@ def test_fidelity_is_its_covariance_half_then_its_mean_half(pair):
         assert repr(_fidelity_mean(half, moved_a.mean - moved_b.mean)) == repr(expected)
 
 
+def _pair_sharing_a_vacuum_mode(eps):
+    """Mixed 3-mode pair whose mode 1 is vacuum in both, coupled by ``eps``."""
+    cov_a = np.diag([0.5, 0.5, 0.5 + 2.0**-13, 0.5, 0.5, 0.5])
+    cov_b = np.diag([0.5, 0.5, 0.5, 1.0625, 0.5, 0.5 + 2.0**-10])
+    cov_b[3, 5] = cov_b[5, 3] = 0.0234375
+    for cov, row, cols in ((cov_a, 2, (0, 1, 3, 4, 5)), (cov_b, 3, (0, 1, 2, 4))):
+        cov[row, cols] = cov[cols, row] = eps
+    return GaussianState(np.zeros(6), cov_a), GaussianState(np.zeros(6), cov_b)
+
+
+def test_mixed_fidelity_on_a_nearly_defective_root_argument():
+    # the same pair without its vacuum mode never reaches a singular root;
+    # eps = 1e-30, 1e-146 and 1e-200 once raised, missed and gave NaN
+    reference = 0.7999221450996433
+    for exponent in range(-200, -9):
+        a, b = _pair_sharing_a_vacuum_mode(10.0**exponent)
+        assert fidelity(a, b) == pytest.approx(reference, abs=1e-7), exponent
+
+
 def test_fidelity_rejects_a_degenerate_covariance_sum():
     pure = apply_affine(vacuum(2), controlled_phase(0.5))
     negated = GaussianState(np.zeros(4), -pure.cov, validate=False)
