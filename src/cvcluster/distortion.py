@@ -167,8 +167,8 @@ class LinearFormEnvelope:
         return len(self.coeff_q)
 
     def apply(self, state: GaussianState) -> GaussianState:
-        if state.n_modes != self.n_modes:
-            raise InvalidOperationError("linear form and state mode counts differ")
+        if not state.n_modes == self.n_modes == len(self.coeff_p):
+            raise InvalidOperationError("linear form needs one q and one p coefficient per mode")
         form = np.concatenate([self.coeff_q, self.coeff_p])
         return _apply_envelope(state, form, self.offset, self.omega)
 

@@ -176,11 +176,7 @@ def _program_trials(config: ExperimentConfig, indices) -> list[TrialRecord]:
     draws its link noise and outcomes from ``trial_rng(seed, t)``."""
     if config.program is None:
         raise ConfigError("running a program needs a program in the config")
-    overrides = config.omega_overrides or {}
-    stray = sorted(set(overrides) - set(range(len(config.program.ops))))
-    if stray:
-        raise ConfigError(f"omega_overrides name no instruction: {stray}")
-    compiled = compile_program(config.program, config.omega, overrides)
+    compiled = compile_program(config.program, config.omega, config.omega_overrides)
     stray = sorted(set(config.pins) - {entry.node for entry in compiled.schedule.entries})
     if stray:
         raise ConfigError(f"pins name no measured node: {stray}")

@@ -2,8 +2,8 @@
 
 This module provides an independent route to the same physics as the
 covariance-matrix engine: states are amplitude tensors over photon
-number levels, gates are matrix exponentials of quadrature polynomials,
-and measurements are carried out by explicit projection.  It exists to
+number levels, gates are functions of position applied on the truncated
+q's eigenbasis, and measurements are explicit projections.  It exists to
 cross-check the Gaussian engine and to host the genuinely non-Gaussian
 measurements (photon counting, sheared-quadrature detection).
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .exceptions import (
     InvalidOperationError,
@@ -173,51 +172,44 @@ def _apply_matrix(
     return np.transpose(out, np.argsort(perm))
 
 
-def fock_apply(
-    state: FockState,
-    hermitian: np.ndarray,
-    scale: float = 1.0,
-    modes: tuple[int, ...] | int = 0,
-    enforce: bool = True,
-) -> FockState:
-    """Apply exp(i * scale * H) for a Hermitian quadrature polynomial H.
+def _mode_dim(state: FockState, mode: int) -> int:
+    """Cutoff of ``mode``, which must index one of the state's modes."""
+    if not 0 <= mode < state.n_modes:
+        raise InvalidOperationError(f"mode {mode} out of range for {state.n_modes} modes")
+    return state.dims[mode]
 
-    ``hermitian`` must match the combined dimension of ``modes``
-    (row-major over the listed modes).  The exponential is computed
-    with a dense Pade approximation; accuracy against direct series
-    summation is covered by the test suite.
+
+def _on_position_spectrum(state: FockState, modes: tuple[int, ...], function) -> np.ndarray:
+    """Amplitudes after ``function`` of the truncated q on each of ``modes``.
+
+    Each listed axis moves into the eigenbasis of its truncated q, the
+    amplitudes are multiplied by ``function`` (one eigenvalue grid per
+    mode, broadcast over that mode's axis) and the axes move back.  Each
+    truncated q is Hermitian, so this is exact: exp(i t x^2 / 2) here is
+    the matrix exponential of i t q @ q / 2 at the same cutoff.
     """
-    if isinstance(modes, int):
-        modes = (modes,)
-    dims = state.dims
-    if any(m < 0 or m >= state.n_modes for m in modes):
-        raise InvalidOperationError("gate mode out of range")
-    dim = int(np.prod([dims[m] for m in modes]))
-    hermitian = np.asarray(hermitian, dtype=complex)
-    if hermitian.shape != (dim, dim):
-        raise InvalidOperationError(
-            f"generator shape {hermitian.shape} does not match modes {modes}"
-        )
-    scale_ref = max(1.0, float(np.max(np.abs(hermitian))))
-    if np.max(np.abs(hermitian - hermitian.conj().T)) > 1e-10 * scale_ref:
-        raise InvalidOperationError("generator must be Hermitian")
-    unitary = expm(1j * float(scale) * hermitian)
-    amps = _apply_matrix(state.amplitudes, unitary, modes)
-    return _checked(amps, enforce, "gate application")
+    amps, grids, bases = state.amplitudes, [], []
+    for mode in modes:
+        values, vectors = np.linalg.eigh(position_operator(_mode_dim(state, mode)))
+        amps = _apply_matrix(amps, vectors.conj().T, (mode,))
+        grids.append(values.reshape([-1 if ax == mode else 1 for ax in range(amps.ndim)]))
+        bases.append(vectors)
+    amps = amps * function(*grids)
+    for mode, vectors in zip(modes, bases):
+        amps = _apply_matrix(amps, vectors, (mode,))
+    return amps
 
 
 def fock_fourier(state: FockState, mode: int = 0, enforce: bool = True) -> FockState:
     """Quarter rotation; diagonal phase exp(i pi (2n + 1) / 4) in this basis."""
-    dim = state.dims[mode]
-    phases = np.exp(1j * np.pi * (2 * np.arange(dim) + 1) / 4.0)
-    amps = _apply_matrix(state.amplitudes, np.diag(phases), (mode,))
-    return _checked(amps, enforce, "fourier gate")
+    turned = _rotate_for_quadrature(state, mode, -np.pi / 2.0)
+    return _checked(np.exp(0.25j * np.pi) * turned.amplitudes, enforce, "fourier gate")
 
 
 def fock_shear(state: FockState, mode: int, t: float, enforce: bool = True) -> FockState:
     """Momentum shear exp(i t q^2 / 2)."""
-    q = position_operator(state.dims[mode])
-    return fock_apply(state, q @ q, scale=t / 2.0, modes=(mode,), enforce=enforce)
+    amps = _on_position_spectrum(state, (mode,), lambda x: np.exp(0.5j * t * x**2))
+    return _checked(amps, enforce, "gate application")
 
 
 def fock_controlled_phase(
@@ -226,25 +218,30 @@ def fock_controlled_phase(
     """Two-mode interaction exp(i g q ⊗ q)."""
     if mode_a == mode_b:
         raise InvalidOperationError("controlled phase needs two distinct modes")
-    qa = position_operator(state.dims[mode_a])
-    qb = position_operator(state.dims[mode_b])
-    return fock_apply(
-        state, np.kron(qa, qb), scale=g, modes=(mode_a, mode_b), enforce=enforce
+    amps = _on_position_spectrum(
+        state, (mode_a, mode_b), lambda xa, xb: np.exp(1j * g * xa * xb)
     )
+    return _checked(amps, enforce, "gate application")
 
 
 def fock_cubic_phase(
     state: FockState, mode: int, u: float, enforce: bool = True
 ) -> FockState:
     """Cubic gate exp(i u q^3 / 3)."""
-    q = position_operator(state.dims[mode])
-    return fock_apply(state, q @ q @ q, scale=u / 3.0, modes=(mode,), enforce=enforce)
+    amps = _on_position_spectrum(state, (mode,), lambda x: np.exp(1j * u * x**3 / 3.0))
+    return _checked(amps, enforce, "gate application")
 
 
 def fock_shift_q(state: FockState, mode: int, s: float, enforce: bool = True) -> FockState:
-    """Position displacement exp(-i s p)."""
-    p = momentum_operator(state.dims[mode])
-    return fock_apply(state, p, scale=-s, modes=(mode,), enforce=enforce)
+    """Position displacement exp(-i s p).
+
+    The truncated p is U q U^dag with U = diag(exp(i pi n / 2)), so the
+    shift is exp(-i s q) between two quarter turns of number phases.
+    """
+    turned = _rotate_for_quadrature(state, mode, np.pi / 2.0)
+    shifted = FockState(_on_position_spectrum(turned, (mode,), lambda x: np.exp(-1j * s * x)))
+    amps = _rotate_for_quadrature(shifted, mode, -np.pi / 2.0).amplitudes
+    return _checked(amps, enforce, "gate application")
 
 
 def fock_position_envelope(
@@ -254,11 +251,9 @@ def fock_position_envelope(
 
     Non-unitary; the result is renormalized.
     """
-    dim = state.dims[mode]
-    q = position_operator(state.dims[mode])
-    shifted = q - center * np.eye(dim)
-    filt = expm(-0.5 * omega**2 * (shifted @ shifted))
-    amps = _apply_matrix(state.amplitudes, filt, (mode,))
+    amps = _on_position_spectrum(
+        state, (mode,), lambda x: np.exp(-0.5 * omega**2 * (x - center) ** 2)
+    )
     return FockState(amps / np.linalg.norm(amps))
 
 
@@ -288,9 +283,9 @@ def _window_kernel(n_max: int, center: float, width: float) -> np.ndarray:
 
 def _rotate_for_quadrature(state: FockState, mode: int, theta: float) -> FockState:
     """Map measurement of q cos(theta) + p sin(theta) onto a q measurement."""
+    dim = _mode_dim(state, mode)
     if theta == 0.0:
         return state
-    dim = state.dims[mode]
     phases = np.exp(-1j * theta * np.arange(dim))
     amps = _apply_matrix(state.amplitudes, np.diag(phases), (mode,))
     return FockState(amps, state.truncation_safe)
@@ -308,7 +303,7 @@ def quadrature_density(
 ) -> np.ndarray:
     """Marginal density of the rotated quadrature on the given points."""
     work = _rotate_for_quadrature(state, mode, theta)
-    phi = hermite_functions(state.dims[mode], grid)
+    phi = hermite_functions(_mode_dim(state, mode), grid)
     # contract the measured axis against the eigenfunction table
     proj = np.tensordot(phi.T, work.amplitudes, axes=([1], [mode]))
     flat = proj.reshape(grid.size, -1)
@@ -342,10 +337,8 @@ def fock_homodyne(
     Returns:
         ``(outcome, conditioned_state)``.
     """
-    if state.n_modes < 1:
-        raise MeasurementError("empty state")
     work = _rotate_for_quadrature(state, mode, theta)
-    dim = state.dims[mode]
+    dim = _mode_dim(state, mode)
     grid = quadrature_grid(dim, window)
     if outcome is None:
         if rng is None:
@@ -382,6 +375,7 @@ def photon_count(
     rng: np.random.Generator | None = None,
 ) -> tuple[int, FockState]:
     """Number measurement on one mode; the mode is removed afterwards."""
+    _mode_dim(state, mode)
     probs = np.abs(state.amplitudes) ** 2
     axes = tuple(ax for ax in range(state.n_modes) if ax != mode)
     marginal = probs.sum(axis=axes) if axes else probs
@@ -418,7 +412,7 @@ def nonlinear_spectral_measure(
     The third array holds each eigenvector's population in the top two
     number levels, used to flag truncation-unsafe outcomes.
     """
-    dim = state.dims[mode]
+    dim = _mode_dim(state, mode)
     values, vectors = np.linalg.eigh(nonlinear_quadrature_operator(dim, u))
     proj = np.tensordot(vectors.conj().T, state.amplitudes, axes=([1], [mode]))
     weights = np.sum(np.abs(proj.reshape(dim, -1)) ** 2, axis=1)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cluster import ClusterGraph, RegisterPlan, _linked_register
-from .exceptions import FrameError, InvalidOperationError, ScheduleError
+from .exceptions import ConfigError, FrameError, InvalidOperationError, ScheduleError
 from .gaussian import GaussianState, _matvec, vacuum
 from .gaussian import homodyne  # noqa: F401 - unused; the benchmark tracer rebinds it here
 from .symplectic import (
@@ -267,6 +267,10 @@ def _step_frame(step: StepPlan, op_map: SymplecticAffine, quarters, prefix) -> S
     return StepFrame(matrix, matrix @ prefix, fixed, reads)
 
 
+class _StrayOverrideError(InvalidOperationError, ConfigError):
+    """An ``omega_overrides`` key that names no instruction; a config error for a run."""
+
+
 @dataclass(frozen=True)
 class CompiledProgram:
     """Cluster graph plus measurement schedule realizing a program, with
@@ -299,12 +303,17 @@ def compile_program(
     (:func:`basis_for_diagonal`, plain for ``cz``) and advances the wire
     by one fresh squeezed node linked to the old tail with weight 1, of
     width ``omega`` unless overridden per instruction index via
-    ``omega_overrides``; ``cz`` then links the two measured tails with
-    its weight.  Each distinct instruction's map is built once here, and from
-    those the intended map and every matrix of the byproduct frame,
-    which no outcome moves; a trial's frame replays only the shifts.
+    ``omega_overrides`` (a key naming no instruction raises an error that
+    is both an :class:`InvalidOperationError` and a :class:`ConfigError`);
+    ``cz`` then links the two measured tails with its weight.  Each
+    distinct instruction's map is built once here, and from those the
+    intended map and every matrix of the byproduct frame, which no
+    outcome moves; a trial's frame replays only the shifts.
     """
     overrides = omega_overrides or {}
+    stray = sorted(set(overrides) - set(range(len(program.ops))))
+    if stray:
+        raise _StrayOverrideError(f"omega_overrides name no instruction: {stray}")
     heads = tuple(range(program.n_modes))
     nodes: list[tuple[int, float]] = [(head, 1.0) for head in heads]
     edges: list[tuple[int, int, float]] = []

@@ -261,6 +261,18 @@ def test_decomposition_outcome_plumbing():
             decompose_distortion(program, pins, omega=0.3)
 
 
+def test_decomposition_rejects_an_override_that_names_no_instruction():
+    with pytest.raises(InvalidOperationError, match=r"name no instruction: \[99\]"):
+        decompose_distortion(
+            fourier_wire(2), [0.1, 0.2], omega=0.3, omega_overrides={99: 0.5}
+        )
+
+
+def test_linear_form_needs_one_coefficient_pair_per_mode():
+    with pytest.raises(InvalidOperationError, match="one q and one p coefficient"):
+        LinearFormEnvelope((1.0,), (0.0, 0.0), 0.0, 1.0).apply(coherent(0, 0))
+
+
 def test_noise_budget_validation_and_overrides():
     budget = NoiseBudget(per_link_variance=0.02)
     assert budget.link_variances() == (0.02, 0.02)

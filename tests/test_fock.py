@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cvcluster.distortion import apply_position_envelope
 from cvcluster.exceptions import (
@@ -25,9 +26,11 @@ from cvcluster.fock import (
     fock_vacuum,
     measure_nonlinear_quadrature,
     moments,
+    momentum_operator,
     nonlinear_spectral_measure,
     overlap,
     photon_count,
+    position_operator,
     quadrature_density,
     quadrature_grid,
 )
@@ -87,6 +90,86 @@ def test_oversized_displacement_trips_the_truncation_guard():
         fock_coherent(6.0, 0.0, cutoff=12)
     state = fock_coherent(6.0, 0.0, cutoff=12, enforce=False)
     assert not state.truncation_safe
+
+
+@pytest.mark.parametrize("factor", [1, 2], ids=["default_cutoff", "doubled_cutoff"])
+def test_gates_match_the_exponential_of_their_truncated_generator(factor):
+    cutoff = factor * default_cutoff(1)
+    q, p = position_operator(cutoff), momentum_operator(cutoff)
+    state = fock_coherent(0.6, -0.3, cutoff=cutoff)
+    cases = (
+        (fock_shear(state, 0, 0.7), expm(0.35j * q @ q)),
+        (fock_cubic_phase(state, 0, 0.2), expm(0.2j / 3.0 * q @ q @ q)),
+        (fock_shift_q(state, 0, 0.9), expm(-0.9j * p)),
+    )
+    for gated, unitary in cases:
+        np.testing.assert_allclose(gated.amplitudes, unitary @ state.amplitudes, atol=1e-12)
+    shifted = q - 0.4 * np.eye(cutoff)
+    filtered = expm(-0.5 * 1.3**2 * shifted @ shifted) @ state.amplitudes
+    np.testing.assert_allclose(
+        fock_position_envelope(state, 0, 1.3, 0.4).amplitudes,
+        filtered / np.linalg.norm(filtered),
+        atol=1e-12,
+    )
+
+    cutoff = factor * default_cutoff(2)
+    q = position_operator(cutoff)
+    pair = fock_tensor(
+        fock_coherent(0.4, 0.1, cutoff=cutoff), fock_squeezed_vacuum_p(0.8, cutoff=cutoff)
+    )
+    linked = expm(0.8j * np.kron(q, q)) @ pair.amplitudes.reshape(-1)
+    np.testing.assert_allclose(
+        fock_controlled_phase(pair, 0, 1, 0.8).amplitudes,
+        linked.reshape(pair.dims),
+        atol=1e-12,
+    )
+
+
+def test_controlled_phase_on_the_outer_modes_of_three():
+    cutoff = default_cutoff(3)
+    q = position_operator(cutoff)
+    state = fock_tensor(
+        fock_tensor(fock_coherent(0.4, 0.1, cutoff=cutoff), fock_coherent(-0.2, 0.3, cutoff=cutoff)),
+        fock_squeezed_vacuum_p(0.9, cutoff=cutoff),
+    )
+    unitary = expm(-0.6j * np.kron(q, q)).reshape((cutoff,) * 4)
+    # unitary axes: (out mode 2, out mode 0, in mode 2, in mode 0)
+    expected = np.einsum("CAca,abc->AbC", unitary, state.amplitudes)
+    gated = fock_controlled_phase(state, 2, 0, -0.6)
+    np.testing.assert_allclose(gated.amplitudes, expected, atol=1e-12)
+
+
+def test_a_gate_that_leaks_past_the_cutoff_trips_the_guard():
+    state = fock_coherent(0.5, 0.0, cutoff=12)
+    with pytest.raises(TruncationError):
+        fock_shift_q(state, 0, 5.0)
+    assert not fock_shift_q(state, 0, 5.0, enforce=False).truncation_safe
+
+
+_BAD_MODE_CALLS = {
+    "homodyne_-1": lambda one, two: fock_homodyne(two, -1, 0.0, outcome=0.1),
+    "homodyne_2": lambda one, two: fock_homodyne(two, 2, 0.5, outcome=0.1),
+    "shear_3": lambda one, two: fock_shear(two, 3, 0.4),
+    "cubic_-1": lambda one, two: fock_cubic_phase(one, -1, 0.1),
+    "shift_1": lambda one, two: fock_shift_q(one, 1, 0.2),
+    "fourier_2": lambda one, two: fock_fourier(two, 2),
+    "fourier_-1": lambda one, two: fock_fourier(two, -1),
+    "envelope_-1": lambda one, two: fock_position_envelope(two, -1, 1.0),
+    "controlled_phase_5": lambda one, two: fock_controlled_phase(two, 0, 5),
+    "density_4": lambda one, two: quadrature_density(one, 4, 0.0, quadrature_grid(40)),
+    "spectral_3": lambda one, two: nonlinear_spectral_measure(two, 3, 0.2),
+    "nonlinear_-1": lambda one, two: measure_nonlinear_quadrature(one, -1, 0.2, outcome=0.0),
+    "photon_count_2": lambda one, two: photon_count(two, 2, outcome=0),
+    "photon_count_-1": lambda one, two: photon_count(two, -1, outcome=0),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_MODE_CALLS.values(), ids=_BAD_MODE_CALLS.keys())
+def test_a_mode_outside_the_state_is_rejected(call):
+    one = fock_coherent(0.3, 0.2)
+    two = fock_tensor(fock_coherent(0.3, 0.2, cutoff=18), fock_vacuum(cutoff=18))
+    with pytest.raises(InvalidOperationError, match="out of range"):
+        call(one, two)
 
 
 def test_fourier_fixes_the_vacuum():
