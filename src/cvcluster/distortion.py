@@ -10,8 +10,7 @@ afterwards), and models interaction-link noise budgets.
 An envelope exp(-omega^2 (l.x + c)^2 / 2) is a readout of the
 quadrature form l.x through a pointer of position variance
 1/(2 omega^2), conditioned on the value -c: one covariance update that
-holds for pure and mixed states alike.  Pure states also convert to
-and from their position wavefunction ``psi(x) ~ exp(-x^T G x / 2 + b^T x)``.
+holds for pure and mixed states alike.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidOperationError, InvalidStateError
+from .exceptions import InvalidOperationError
 from .gaussian import GaussianState, _add_link_kicks, _add_link_variance
 from .mbqc import (
     DEFAULT_ANCILLA_OMEGA,
@@ -71,47 +70,6 @@ class NoiseBudget:
             else self.per_link_variance_p
         )
         return vq, vp
-
-
-def wavefunction_parameters(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-    """Complex quadratic form and linear term of a pure state's
-    position wavefunction."""
-    if not state.is_pure():
-        raise InvalidStateError("wavefunction parameters exist only for pure states")
-    n = state.n_modes
-    v_qq = state.cov[:n, :n]
-    v_qp = state.cov[:n, n:]
-    g_real = 0.5 * np.linalg.inv(v_qq)
-    g_imag = -np.linalg.solve(v_qq, v_qp)
-    g_real = 0.5 * (g_real + g_real.T)
-    g_imag = 0.5 * (g_imag + g_imag.T)
-    m_q, m_p = state.mean[:n], state.mean[n:]
-    beta_real = g_real @ m_q
-    beta_imag = m_p + g_imag @ m_q
-    return g_real + 1j * g_imag, beta_real + 1j * beta_imag
-
-
-def state_from_wavefunction(gamma: np.ndarray, beta: np.ndarray) -> GaussianState:
-    """Rebuild (mean, cov) from position-wavefunction parameters."""
-    gamma = np.asarray(gamma, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    g_real, g_imag = gamma.real, gamma.imag
-    eigenvalues = np.linalg.eigvalsh(0.5 * (g_real + g_real.T))
-    if eigenvalues.min() <= 0:
-        raise InvalidStateError("wavefunction quadratic form must be positive definite")
-    g_real_inv = np.linalg.inv(g_real)
-    v_qq = 0.5 * g_real_inv
-    v_qp = -v_qq @ g_imag
-    v_pp = 0.5 * (g_real + g_imag @ g_real_inv @ g_imag)
-    m_q = g_real_inv @ beta.real
-    m_p = beta.imag - g_imag @ m_q
-    n = gamma.shape[0]
-    cov = np.zeros((2 * n, 2 * n))
-    cov[:n, :n] = v_qq
-    cov[:n, n:] = v_qp
-    cov[n:, :n] = v_qp.T
-    cov[n:, n:] = v_pp
-    return GaussianState(np.concatenate([m_q, m_p]), cov)
 
 
 def _apply_envelope(

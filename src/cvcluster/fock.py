@@ -28,7 +28,6 @@ MODE_CAP = 3
 DEFAULT_CUTOFFS = {1: 40, 2: 18, 3: 10}
 LEAKAGE_CEILING = 1e-6
 DEFAULT_WINDOW = 0.05
-EDGE_WEIGHT_LIMIT = 0.5
 
 
 def default_cutoff(n_modes: int) -> int:
@@ -310,6 +309,14 @@ def quadrature_density(
     return np.sum(np.abs(flat) ** 2, axis=1)
 
 
+def _remaining(state: FockState, amplitudes: np.ndarray) -> FockState:
+    """The unmeasured modes after a readout, renormalized; the input's
+    truncation flag carries over."""
+    if state.n_modes == 1:
+        return FockState(np.array([1.0 + 0.0j]))
+    return FockState(amplitudes / np.linalg.norm(amplitudes), state.truncation_safe)
+
+
 def fock_homodyne(
     state: FockState,
     mode: int,
@@ -361,11 +368,7 @@ def fock_homodyne(
         raise MeasurementError(
             f"window at {center:.3f} has probability below 1e-12"
         )
-    if state.n_modes == 1:
-        return outcome, FockState(np.array([1.0 + 0.0j]))
-    conditioned = FockState(projected / np.linalg.norm(projected))
-    conditioned.truncation_safe = state.truncation_safe
-    return outcome, conditioned
+    return outcome, _remaining(state, projected)
 
 
 def photon_count(
@@ -390,34 +393,19 @@ def photon_count(
             raise MeasurementError("pinned photon number outside the cutoff")
         if marginal[outcome] < 1e-12:
             raise MeasurementError("pinned photon number has vanishing probability")
-    sliced = np.take(state.amplitudes, outcome, axis=mode)
-    if state.n_modes == 1:
-        return outcome, FockState(np.array([1.0 + 0.0j]))
-    conditioned = FockState(sliced / np.linalg.norm(sliced))
-    conditioned.truncation_safe = state.truncation_safe
-    return outcome, conditioned
-
-
-def nonlinear_quadrature_operator(dim: int, u: float) -> np.ndarray:
-    """The observable p + u q^2 at the given cutoff."""
-    q = position_operator(dim)
-    return momentum_operator(dim) + u * (q @ q)
+    return outcome, _remaining(state, np.take(state.amplitudes, outcome, axis=mode))
 
 
 def nonlinear_spectral_measure(
     state: FockState, mode: int, u: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, state weights, and edge weights of p + u q^2.
-
-    The third array holds each eigenvector's population in the top two
-    number levels, used to flag truncation-unsafe outcomes.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the truncated p + u q^2 and the state's weight on each."""
     dim = _mode_dim(state, mode)
-    values, vectors = np.linalg.eigh(nonlinear_quadrature_operator(dim, u))
+    q = position_operator(dim)
+    values, vectors = np.linalg.eigh(momentum_operator(dim) + u * (q @ q))
     proj = np.tensordot(vectors.conj().T, state.amplitudes, axes=([1], [mode]))
     weights = np.sum(np.abs(proj.reshape(dim, -1)) ** 2, axis=1)
-    edge = np.sum(np.abs(vectors[-2:, :]) ** 2, axis=0)
-    return values, weights, edge
+    return values, weights
 
 
 def measure_nonlinear_quadrature(
@@ -426,43 +414,14 @@ def measure_nonlinear_quadrature(
     u: float,
     outcome: float | None = None,
     rng: np.random.Generator | None = None,
-    bin_width: float = DEFAULT_WINDOW,
 ) -> tuple[float, FockState]:
     """Measure the sheared quadrature p + u q^2 on one mode.
 
-    Outcomes are eigenvalues of the truncated observable, binned to
-    ``bin_width``; conditioning projects onto the selected bin's
-    eigenspace and keeps the mode.  Bins dominated by eigenvectors that
-    live in the top number levels are rejected as truncation-unsafe.
+    The cubic gate U = exp(i u q^3 / 3) gives U^dag p U = p + u q^2, so
+    the readout is that gate followed by the windowed momentum homodyne:
+    the outcome is continuous and the measured mode is removed.
     """
-    values, weights, edge = nonlinear_spectral_measure(state, mode, u)
-    bins = np.round(values / bin_width).astype(int)
-    if outcome is None:
-        if rng is None:
-            raise MeasurementError("sampling requires rng")
-        unique, inverse = np.unique(bins, return_inverse=True)
-        probs = np.bincount(inverse, weights=weights)
-        probs = probs / probs.sum()
-        chosen = unique[int(rng.choice(unique.size, p=probs))]
-    else:
-        chosen = int(np.round(float(outcome) / bin_width))
-    mask = bins == chosen
-    bin_weight = float(weights[mask].sum())
-    if bin_weight < 1e-12:
-        raise MeasurementError("selected outcome bin has probability below 1e-12")
-    unsafe = float(weights[mask & (edge > EDGE_WEIGHT_LIMIT)].sum())
-    if unsafe > 0.5 * bin_weight:
-        raise TruncationError(
-            "outcome bin dominated by eigenvectors at the cutoff edge"
-        )
-    dim = state.dims[mode]
-    _, vectors = np.linalg.eigh(nonlinear_quadrature_operator(dim, u))
-    basis = vectors[:, mask]
-    projector = basis @ basis.conj().T
-    amps = _apply_matrix(state.amplitudes, projector, (mode,))
-    conditioned = FockState(amps / np.linalg.norm(amps))
-    conditioned.truncation_safe = state.truncation_safe
-    return float(chosen * bin_width), conditioned
+    return fock_homodyne(fock_cubic_phase(state, mode, u), mode, np.pi / 2.0, outcome, rng)
 
 
 def overlap(a: FockState, b: FockState) -> complex:
@@ -473,31 +432,17 @@ def overlap(a: FockState, b: FockState) -> complex:
 
 
 def moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature mean vector and symmetrized covariance, block ordering."""
-    m = state.n_modes
+    """Quadrature mean vector and symmetrized covariance, block ordering.
+
+    Each truncated quadrature X_i is Hermitian, so the mean is
+    Re<psi|X_i psi> and the symmetrized second moment is Re<X_i psi|X_j psi>.
+    """
     amps = state.amplitudes / np.linalg.norm(state.amplitudes)
-    mats = []
-    for mode in range(m):
-        mats.append(position_operator(state.dims[mode]))
-    for mode in range(m):
-        mats.append(momentum_operator(state.dims[mode]))
-    axis_of = list(range(m)) + list(range(m))
-
-    def expect(ops: list[tuple[int, np.ndarray]]) -> float:
-        work = amps
-        for axis, mat in ops:
-            work = _apply_matrix(work, mat, (axis,))
-        return float(np.real(np.vdot(amps, work)))
-
-    mean = np.array([expect([(axis_of[i], mats[i])]) for i in range(2 * m)])
-    cov = np.zeros((2 * m, 2 * m))
-    for i in range(2 * m):
-        for j in range(i, 2 * m):
-            ai, aj = axis_of[i], axis_of[j]
-            if ai == aj:
-                sym = 0.5 * (mats[i] @ mats[j] + mats[j] @ mats[i])
-                raw = expect([(ai, sym)])
-            else:
-                raw = expect([(ai, mats[i]), (aj, mats[j])])
-            cov[i, j] = cov[j, i] = raw - mean[i] * mean[j]
+    applied = np.array([
+        _apply_matrix(amps, operator(dim), (mode,)).reshape(-1)
+        for operator in (position_operator, momentum_operator)
+        for mode, dim in enumerate(state.dims)
+    ])
+    mean = np.real(applied @ amps.reshape(-1).conj())
+    cov = np.real(applied.conj() @ applied.T) - np.outer(mean, mean)
     return mean, cov

@@ -311,7 +311,7 @@ def test_criterion_09_nonlinear_measurement_equivalence():
     start = time.perf_counter()
     u = 0.2
     state = fock_coherent(0.6, -0.3)
-    values, weights, _ = nonlinear_spectral_measure(state, 0, u)
+    values, weights = nonlinear_spectral_measure(state, 0, u)
     gated = fock_cubic_phase(state, 0, u)
     grid = quadrature_grid(state.dims[0])
     density = quadrature_density(gated, 0, math.pi / 2.0, grid)

@@ -14,11 +14,9 @@ from cvcluster.distortion import (
     apply_position_envelope,
     apply_qnd_noise,
     decompose_distortion,
-    state_from_wavefunction,
-    wavefunction_parameters,
 )
 from cvcluster.experiment import SweepPoint, fidelity_vs_squeezing
-from cvcluster.exceptions import InvalidOperationError, InvalidStateError
+from cvcluster.exceptions import InvalidOperationError
 from cvcluster.gaussian import GaussianState, apply_affine, coherent, vacuum
 from cvcluster.mbqc import (
     GateProgram,
@@ -29,7 +27,7 @@ from cvcluster.mbqc import (
 )
 from cvcluster.symplectic import fourier
 
-from conftest import fourier_wire, mixed_states, random_gaussian_program
+from conftest import fourier_wire, mixed_states
 
 
 def test_envelope_validation_and_widths():
@@ -65,26 +63,6 @@ def test_envelope_needs_a_single_mode():
     for mode in (3, -1):
         with pytest.raises(InvalidOperationError, match="out of range"):
             apply_position_envelope(vacuum(1), mode, 1.0)
-
-
-def test_wavefunction_round_trip_on_random_pure_states():
-    rng = np.random.default_rng(53)
-    for _ in range(20):
-        program = random_gaussian_program(
-            rng, n_modes=int(rng.integers(1, 4)), n_ops=int(rng.integers(1, 6))
-        )
-        from cvcluster.mbqc import intended_affine
-
-        state = apply_affine(vacuum(program.n_modes), intended_affine(program))
-        rebuilt = state_from_wavefunction(*wavefunction_parameters(state))
-        np.testing.assert_allclose(rebuilt.mean, state.mean, atol=1e-9)
-        np.testing.assert_allclose(rebuilt.cov, state.cov, atol=1e-9)
-
-
-def test_wavefunction_parameters_reject_mixed_states():
-    mixed = GaussianState(np.zeros(2), 1.5 * np.eye(2) / 2.0)
-    with pytest.raises(InvalidStateError):
-        wavefunction_parameters(mixed)
 
 
 def test_negligible_linear_form_is_a_no_op():

@@ -34,6 +34,7 @@ from cvcluster.fock import (
     quadrature_density,
     quadrature_grid,
 )
+from cvcluster.fock import _apply_matrix
 from cvcluster.gaussian import (
     apply_affine,
     coherent,
@@ -43,6 +44,7 @@ from cvcluster.gaussian import (
     vacuum,
 )
 from cvcluster.symplectic import controlled_phase, quadratic_phase
+from cvcluster.validate import _two_mode_linked
 
 
 def smoothed_density(points, weights, axis, bandwidth):
@@ -52,6 +54,33 @@ def smoothed_density(points, weights, axis, bandwidth):
     for x, w in zip(points, weights):
         out += w * np.exp(-((axis - x) ** 2) / (2.0 * bandwidth**2)) / norm
     return out
+
+
+def pairwise_moments(state):
+    """Reference moments: one expectation per quadrature and per pair,
+    with same-mode pairs as the symmetrized operator product."""
+    m = state.n_modes
+    amps = state.amplitudes / np.linalg.norm(state.amplitudes)
+    mats = [position_operator(d) for d in state.dims] + [momentum_operator(d) for d in state.dims]
+    axis_of = list(range(m)) + list(range(m))
+
+    def expect(ops):
+        work = amps
+        for axis, mat in ops:
+            work = _apply_matrix(work, mat, (axis,))
+        return float(np.real(np.vdot(amps, work)))
+
+    mean = np.array([expect([(axis_of[i], mats[i])]) for i in range(2 * m)])
+    cov = np.zeros((2 * m, 2 * m))
+    for i in range(2 * m):
+        for j in range(i, 2 * m):
+            ai, aj = axis_of[i], axis_of[j]
+            if ai == aj:
+                raw = expect([(ai, 0.5 * (mats[i] @ mats[j] + mats[j] @ mats[i]))])
+            else:
+                raw = expect([(ai, mats[i]), (aj, mats[j])])
+            cov[i, j] = cov[j, i] = raw - mean[i] * mean[j]
+    return mean, cov
 
 
 def test_default_cutoffs_shrink_with_mode_count():
@@ -77,6 +106,25 @@ def test_squeezed_vacuum_momentum_variance():
     _, cov = moments(fock_squeezed_vacuum_p(0.5))
     assert cov[1, 1] == pytest.approx(0.125, abs=1e-6)
     assert cov[0, 0] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_moments_match_the_pairwise_expectations():
+    linked, _ = _two_mode_linked(1)
+    cutoff = default_cutoff(3)
+    states = (
+        fock_coherent(0.7, -0.4),
+        fock_shear(fock_squeezed_vacuum_p(0.6), 0, 0.7),
+        linked,
+        fock_tensor(
+            fock_tensor(fock_coherent(0.4, 0.1, cutoff=cutoff), fock_vacuum(cutoff=cutoff)),
+            fock_squeezed_vacuum_p(0.9, cutoff=cutoff),
+        ),
+    )
+    for state in states:
+        mean, cov = moments(state)
+        ref_mean, ref_cov = pairwise_moments(state)
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-14)
 
 
 def test_moments_of_coherent_state():
@@ -325,7 +373,7 @@ def test_pinned_photon_count_conditions_remaining_mode():
 
 def test_sheared_quadrature_at_zero_reduces_to_momentum_readout():
     state = fock_coherent(0.6, -0.3)
-    values, weights, _ = nonlinear_spectral_measure(state, 0, 0.0)
+    values, weights = nonlinear_spectral_measure(state, 0, 0.0)
     grid = quadrature_grid(state.dims[0])
     density = quadrature_density(state, 0, np.pi / 2.0, grid)
     axis = np.arange(-10.0, 10.0, 0.02)
@@ -338,7 +386,7 @@ def test_sheared_quadrature_at_zero_reduces_to_momentum_readout():
 def test_sheared_quadrature_equals_cubic_gate_then_momentum():
     u = 0.2
     state = fock_coherent(0.6, -0.3)
-    values, weights, _ = nonlinear_spectral_measure(state, 0, u)
+    values, weights = nonlinear_spectral_measure(state, 0, u)
     gated = fock_cubic_phase(state, 0, u)
     grid = quadrature_grid(state.dims[0])
     density = quadrature_density(gated, 0, np.pi / 2.0, grid)
@@ -356,18 +404,38 @@ def test_sheared_quadrature_equals_cubic_gate_then_momentum():
 
 
 def test_sheared_quadrature_first_moment_on_vacuum():
-    values, weights, _ = nonlinear_spectral_measure(fock_vacuum(), 0, 0.3)
+    values, weights = nonlinear_spectral_measure(fock_vacuum(), 0, 0.3)
     assert float(values @ weights) == pytest.approx(0.15, abs=5e-3)
 
 
-def test_measuring_the_sheared_quadrature_conditions_the_state():
+def test_pinned_sheared_quadrature_on_vacuum_is_accepted():
+    outcome, rest = measure_nonlinear_quadrature(fock_vacuum(), 0, 0.2, outcome=0.0)
+    assert outcome == 0.0
+    assert rest.dims == (1,)
+
+
+def test_measuring_the_sheared_quadrature_conditions_the_other_mode():
+    linked, _ = _two_mode_linked(1)
+    outcome, rest = measure_nonlinear_quadrature(linked, 0, 0.0, outcome=0.4)
+    _, expected = fock_homodyne(linked, 0, np.pi / 2.0, outcome=0.4)
+    assert outcome == 0.4
+    assert rest.n_modes == 1
+    np.testing.assert_allclose(rest.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_sampled_sheared_quadrature_follows_the_spectral_moments():
+    u, draws = 0.2, 4000
+    state = fock_coherent(0.6, -0.3)
+    values, weights = nonlinear_spectral_measure(state, 0, u)
+    mean = float(values @ weights)
+    var = float((values - mean) ** 2 @ weights)
+    fourth = float((values - mean) ** 4 @ weights)
     rng = np.random.default_rng(47)
-    outcome, conditioned = measure_nonlinear_quadrature(
-        fock_vacuum(), 0, 0.2, rng=rng
+    outcomes = np.array(
+        [measure_nonlinear_quadrature(state, 0, u, rng=rng)[0] for _ in range(draws)]
     )
-    assert np.isfinite(outcome)
-    assert conditioned.n_modes == 1
-    assert np.linalg.norm(conditioned.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert abs(outcomes.mean() - mean) < 4.0 * np.sqrt(var / draws)
+    assert abs(outcomes.var() - var) < 4.0 * np.sqrt((fourth - var**2) / draws)
 
 
 def test_overlap_basics_and_cross_check():
